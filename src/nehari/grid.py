@@ -12,6 +12,7 @@ analysis relies on.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "l4_norm4",
     "l43_norm",
     "h1_weighted_norm_sq",
+    "weighted_norm_sq",
     "pair_norm_sq",
     "field_from_function",
     "zero_field",
@@ -211,10 +213,13 @@ def h1_weighted_norm_sq(w: Field, lam: float) -> float:
     The gradient term is evaluated as integrate(w * (-lap w)) so it stays
     exactly consistent with the stencil.
     """
-    vals = w.values
-    lap = laplacian_matvec(w.grid, vals)
-    vol = w.grid.cell_volume
-    return float(((vals * lap).sum() + lam * (vals**2).sum()) * vol)
+    return weighted_norm_sq(w.grid, w.values, lam)
+
+
+def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:
+    """h1_weighted_norm_sq of raw nodal values, without building a Field."""
+    lap = laplacian_matvec(grid, vals)
+    return float(((vals * lap).sum() + lam * (vals**2).sum()) * grid.cell_volume)
 
 
 def pair_norm_sq(p: Pair, params) -> float:
@@ -259,14 +264,20 @@ def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):
         want = _csv_header(grid, value_cols).split(",")
         if header != want:
             raise ValueError(f"unexpected CSV header {header!r}, want {want!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if len(rows) != grid.size:
-        raise ValueError(f"expected {grid.size} rows, got {len(rows)}")
-    out = []
-    for k, _name in enumerate(value_cols):
-        col = grid.dim * 2 + k
-        out.append(np.array([float(r[col]) for r in rows]))
-    return out
+        first = grid.dim * 2
+        with warnings.catch_warnings():
+            # a header-only file is reported by the row-count check below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(
+                fh,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                usecols=range(first, first + len(value_cols)),
+            )
+    if len(data) != grid.size:
+        raise ValueError(f"expected {grid.size} rows, got {len(data)}")
+    return list(data.T)
 
 
 def field_to_csv(w: Field, path) -> None:

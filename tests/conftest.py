@@ -82,16 +82,6 @@ def scan_roots(norm_sq: float, a: float, b: float, num: int = 20_001):
 
 # --- problem builders ----------------------------------------------------------
 
-_S4_CACHE: dict = {}
-
-
-def cached_s4(grid: Grid, lam: float, seed: int = 0) -> float:
-    key = (grid.dim, grid.extents, grid.points, lam, seed)
-    if key not in _S4_CACHE:
-        _S4_CACHE[key] = estimate_s4(grid, lam, seed=seed)
-    return _S4_CACHE[key]
-
-
 def build_problem(
     n: int = 199,
     beta: float = 0.5,
@@ -109,7 +99,7 @@ def build_problem(
         grid = Grid(1, (1.0,), (n,))
     else:
         grid = Grid(2, (1.0, 1.0), (n, n))
-    s4 = cached_s4(grid, lam, seed)
+    s4 = estimate_s4(grid, lam, seed=seed)
     e = first_eigenvector(grid)
     zero = zero_field(grid)
     probe = Params(lam, lam, mu, mu, beta, zero, zero)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from nehari import threshold
 from nehari.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -297,3 +298,46 @@ def test_check_detects_tampering(config, tmp_path):
     lines[1] = ",".join(cells)
     open(path, "w").write("\n".join(lines) + "\n")
     assert main(["check", "--config", config, "--out", out]) == 5
+
+
+def _truncate_first_row(path):
+    lines = open(path).read().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+def test_check_rejects_truncated_state_row(config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
+    _truncate_first_row(os.path.join(out, "ground_state.csv"))
+    capsys.readouterr()
+    assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_csv_source_with_truncated_row_is_config_error(tmp_path):
+    grid = Grid(1, (1.0,), (99,))
+    src = str(tmp_path / "f.csv")
+    field_to_csv(first_eigenvector(grid), src)
+    _truncate_first_row(src)
+    cfg = write_config(
+        tmp_path / "c.json",
+        sources={
+            "f": {"kind": "csv", "path": src},
+            "g": {"kind": "eigen", "amplitude": 1.0},
+            "autoscale": {"rho": 0.5},
+        },
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_sweep_estimates_s4_once(tmp_path):
+    cfg = write_config(tmp_path / "c.json", grid={"dim": 1, "extents": [1.0], "points": [31]})
+    threshold._estimate_s4_cached.cache_clear()
+    assert main(
+        ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+         "--parameter", "beta", "--values", "0.25,0.5,0.75"]
+    ) == EXIT_OK
+    info = threshold._estimate_s4_cached.cache_info()
+    assert info.misses == 1 and info.hits >= 2

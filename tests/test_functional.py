@@ -24,7 +24,7 @@ from nehari.grid import (
     zero_field,
 )
 
-from conftest import build_problem, cached_s4, random_pair
+from conftest import build_problem, random_pair
 
 
 def zero_pair(grid):

@@ -17,7 +17,7 @@ from nehari.solver import (
 )
 from nehari.threshold import compute_threshold
 
-from conftest import build_problem, cached_s4, random_pair
+from conftest import build_problem, random_pair
 
 
 @pytest.fixture(scope="module")
