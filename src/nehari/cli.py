@@ -124,19 +124,39 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
     )
 
 
+def _config_grid(cfg: dict) -> Grid:
+    gspec = cfg["grid"]
+    try:
+        return Grid(gspec["dim"], tuple(gspec["extents"]), tuple(gspec["points"]))
+    except ValueError as exc:
+        raise ConfigError(f"config error at grid: {exc}") from exc
+
+
+def _config_seed(cfg: dict, seed: int | None) -> int:
+    return int(cfg.get("seed", 0)) if seed is None else int(seed)
+
+
+def _config_s4(cfg: dict, seed: int | None = None) -> float:
+    """The s4 estimate of a config: it depends on grid, min(lam1, lam2) and seed only."""
+    co = cfg["coefficients"]
+    lam = min(float(co["lam1"]), float(co["lam2"]))
+    return estimate_s4(_config_grid(cfg), lam, seed=_config_seed(cfg, seed))
+
+
 def resolve_problem(
     cfg: dict,
     seed: int | None = None,
     rho: float | None = None,
     beta: float | None = None,
     force: bool = False,
+    s4: float | None = None,
 ) -> Problem:
-    """Build the fully resolved problem a subcommand runs against."""
-    gspec = cfg["grid"]
-    try:
-        grid = Grid(gspec["dim"], tuple(gspec["extents"]), tuple(gspec["points"]))
-    except ValueError as exc:
-        raise ConfigError(f"config error at grid: {exc}") from exc
+    """Build the fully resolved problem a subcommand runs against.
+
+    ``s4`` is estimated from the config unless given; a caller that resolves
+    several problems on one grid, lam and seed estimates it once.
+    """
+    grid = _config_grid(cfg)
 
     co = cfg["coefficients"]
     beta_val = float(co["beta"]) if beta is None else float(beta)
@@ -150,8 +170,9 @@ def resolve_problem(
     f = _build_source(grid, cfg["sources"]["f"], "sources.f")
     g = _build_source(grid, cfg["sources"]["g"], "sources.g")
 
-    seed_val = int(cfg.get("seed", 0)) if seed is None else int(seed)
-    s4 = estimate_s4(grid, min(float(co["lam1"]), float(co["lam2"])), seed=seed_val)
+    seed_val = _config_seed(cfg, seed)
+    if s4 is None:
+        s4 = _config_s4(cfg, seed_val)
 
     autoscale = cfg["sources"].get("autoscale")
     rho_val = None
@@ -470,12 +491,12 @@ def _sweep_slug(parameter: str, value: float) -> str:
 
 
 def _sweep_one(payload) -> tuple[float, int, dict]:
-    cfg, parameter, value, seed, rho, beta, force, out_dir = payload
+    cfg, parameter, value, seed, rho, beta, force, s4, out_dir = payload
     if parameter == "beta":
         beta = value
     else:
         rho = value
-    problem = resolve_problem(cfg, seed=seed, rho=rho, beta=beta, force=force)
+    problem = resolve_problem(cfg, seed=seed, rho=rho, beta=beta, force=force, s4=s4)
     code, summary = run_solve(problem, out_dir, force=force)
     return value, code, summary
 
@@ -502,6 +523,8 @@ def cmd_sweep(args) -> int:
 
     out_dir = args.out or cfg.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
+    # no swept parameter enters s4, so every value shares one estimate
+    s4 = _config_s4(cfg, args.seed)
     payloads = [
         (
             cfg,
@@ -511,6 +534,7 @@ def cmd_sweep(args) -> int:
             args.rho,
             args.beta,
             args.force,
+            s4,
             os.path.join(out_dir, _sweep_slug(args.parameter, v)),
         )
         for v in values

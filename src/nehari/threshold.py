@@ -17,7 +17,6 @@ components conservatively.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,10 +110,23 @@ def _smooth_probes(grid: Grid, rng: np.random.Generator):
             yield (tables[0].T @ coeffs @ tables[1]).ravel()
 
 
-@functools.lru_cache(maxsize=None)
-def _estimate_s4_cached(
-    grid: Grid, lam: float, seed: int, restarts: int, max_iters: int
-) -> tuple[float, bool]:
+def estimate_s4(
+    grid: Grid, lam: float, seed: int = 0, restarts: int = 8, max_iters: int = 4000
+) -> float:
+    """Estimate of the best constant in |w|_4 <= s4 * |w|_{H,lam}.
+
+    Ascent runs from the first-eigenvector start plus ``restarts`` seeded
+    random starts; the result is the max over starts and is deterministic
+    given the seed.  A guard then draws 16 smooth probes, random
+    combinations of the first 4 sine modes per axis: a probe whose ratio
+    beats the ascent would mean the optimization missed badly, so the ascent
+    is re-run from that probe.
+
+    A warning is emitted if the ascent hit the iteration cap on some start;
+    the best value found is still returned.
+    """
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     rng = np.random.default_rng(seed)
     starts = [first_eigenvector(grid).values]
     starts += [rng.standard_normal(grid.size) for _ in range(restarts)]
@@ -131,30 +143,6 @@ def _estimate_s4_cached(
             val, hit_cap = _ascend(grid, lam, w, max_iters)
             capped = capped or hit_cap
             best = max(best, val, ratio)
-    return best, capped
-
-
-def estimate_s4(
-    grid: Grid, lam: float, seed: int = 0, restarts: int = 8, max_iters: int = 4000
-) -> float:
-    """Estimate of the best constant in |w|_4 <= s4 * |w|_{H,lam}.
-
-    Ascent runs from the first-eigenvector start plus ``restarts`` seeded
-    random starts; the result is the max over starts and is deterministic
-    given the seed.  A guard then draws 16 smooth probes, random
-    combinations of the first 4 sine modes per axis: a probe whose ratio
-    beats the ascent would mean the optimization missed badly, so the ascent
-    is re-run from that probe.
-
-    The estimate is memoised per process for each (grid, lam, seed,
-    restarts, max_iters), so a sweep or a solve followed by a check computes
-    it once.  A warning is emitted on every call whose estimate hit the
-    iteration cap on some start, cached or not; the best value found is
-    still returned.
-    """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    best, capped = _estimate_s4_cached(grid, float(lam), seed, restarts, max_iters)
     if capped:
         warnings.warn(
             "Sobolev-constant ascent hit its iteration cap; "

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nehari import threshold
+from nehari import cli
 from nehari.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -14,6 +14,7 @@ from nehari.cli import (
 )
 from nehari.grid import Grid, field_to_csv, first_eigenvector
 from nehari.reports import load_schema, validate
+from nehari.threshold import estimate_s4
 
 
 def write_config(path, **overrides):
@@ -332,12 +333,17 @@ def test_csv_source_with_truncated_row_is_config_error(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_sweep_estimates_s4_once(tmp_path):
+def test_sweep_estimates_s4_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", grid={"dim": 1, "extents": [1.0], "points": [31]})
-    threshold._estimate_s4_cached.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_s4(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_s4", counted)
     assert main(
         ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
          "--parameter", "beta", "--values", "0.25,0.5,0.75"]
     ) == EXIT_OK
-    info = threshold._estimate_s4_cached.cache_info()
-    assert info.misses == 1 and info.hits >= 2
+    assert len(calls) == 1
