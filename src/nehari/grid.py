@@ -174,13 +174,13 @@ def _check_on_grid(grid: Grid, w: Field) -> None:
 def laplacian_matvec(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Apply -Delta (second-order centered stencil, zero Dirichlet ghosts)."""
     v = values.reshape(grid.shape)
-    out = np.zeros_like(v)
     for axis, h in enumerate(grid.spacing):
-        pad = [(1, 1) if a == axis else (0, 0) for a in range(v.ndim)]
-        p = np.pad(v, pad)
-        lo = [slice(0, -2) if a == axis else slice(None) for a in range(v.ndim)]
-        hi = [slice(2, None) if a == axis else slice(None) for a in range(v.ndim)]
-        out += (2.0 * v - p[tuple(lo)] - p[tuple(hi)]) / h**2
+        term = 2.0 * v
+        t, w = np.moveaxis(term, axis, 0), np.moveaxis(v, axis, 0)
+        t[1:] -= w[:-1]  # a zero ghost neighbour drops out: x - 0.0 == x
+        t[:-1] -= w[1:]
+        term /= h**2
+        out = term if axis == 0 else np.add(out, term, out=out)
     return out.ravel()
 
 
@@ -238,6 +238,7 @@ def pair_norm_sq(p: Pair, params) -> float:
 # axis, then one column per field.  Header row included.
 
 _FMT = "%.17g"
+_CSV_CHUNK = 4096
 
 
 def _csv_header(grid: Grid, value_cols: tuple[str, ...]) -> str:
@@ -247,15 +248,15 @@ def _csv_header(grid: Grid, value_cols: tuple[str, ...]) -> str:
 
 
 def _write_node_csv(grid: Grid, columns: dict[str, np.ndarray], path) -> None:
-    coords = grid.node_coords()
     indices = np.unravel_index(np.arange(grid.size), grid.shape)
+    table = (*indices, *grid.node_coords(), *columns.values())
+    row = ",".join(["%d"] * grid.dim + [_FMT] * (len(table) - grid.dim)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_csv_header(grid, tuple(columns)) + "\n")
-        for row in range(grid.size):
-            cells = [str(int(ix[row])) for ix in indices]
-            cells += [_FMT % c[row] for c in coords]
-            cells += [_FMT % col[row] for col in columns.values()]
-            fh.write(",".join(cells) + "\n")
+        # one % call per chunk of rows; whole-column lists would raise peak memory
+        for lo in range(0, grid.size, _CSV_CHUNK):
+            chunk = np.column_stack([c[lo : lo + _CSV_CHUNK] for c in table])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):
@@ -264,19 +265,15 @@ def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):
         want = _csv_header(grid, value_cols).split(",")
         if header != want:
             raise ValueError(f"unexpected CSV header {header!r}, want {want!r}")
-        first = grid.dim * 2
         with warnings.catch_warnings():
             # a header-only file is reported by the row-count check below
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(
-                fh,
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-                usecols=range(first, first + len(value_cols)),
-            )
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if len(data) != grid.size:
         raise ValueError(f"expected {grid.size} rows, got {len(data)}")
+    if data.shape[1] != len(want):
+        raise ValueError(f"expected {len(want)} columns, got {data.shape[1]}")
+    data = data[:, grid.dim * 2 :]
     return list(data.T)
 
 

@@ -19,7 +19,9 @@ therefore a free critical point.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,14 +141,24 @@ def _shift_solve(grid: Grid, lam: float):
         main = np.full(n, 2.0 / h**2)
         off = np.full(n - 1, -1.0 / h**2)
         mats.append(sp.diags([off, main, off], [-1, 0, 1]))
-    if grid.dim == 1:
-        op = mats[0]
-    else:
-        eye0 = sp.identity(grid.points[0])
-        eye1 = sp.identity(grid.points[1])
-        op = sp.kron(mats[0], eye1) + sp.kron(eye0, mats[1])
-    lu = spla.splu((op + lam * sp.identity(grid.size)).tocsc())
-    return lu.solve
+    op = functools.reduce(lambda a, b: sp.kronsum(b, a), mats)
+    # minimum degree on A+A^T: about half the fill of the default COLAMD in 2D
+    shifted = (op + lam * sp.identity(grid.size)).tocsc()
+    return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A").solve
+
+
+# one factor pair per problem, shared by both branches, every seed and the
+# positivity rescale; weak keys, so it lives exactly as long as its Params
+_RIESZ: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _riesz_solves(params: Params):
+    """The solves of (-lap + lam1) and (-lap + lam2) for params, factored once."""
+    if params not in _RIESZ:
+        solve1 = _shift_solve(params.grid, params.lam1)
+        same = params.lam2 == params.lam1
+        _RIESZ[params] = (solve1, solve1 if same else _shift_solve(params.grid, params.lam2))
+    return _RIESZ[params]
 
 
 def strong_residuals(p: Pair, params: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +262,7 @@ def minimize(
     if init is None:
         init = auto_init(branch, params, grid, cfg.seed)
 
-    solve1 = _shift_solve(grid, params.lam1)
-    solve2 = solve1 if params.lam2 == params.lam1 else _shift_solve(grid, params.lam2)
+    solve1, solve2 = _riesz_solves(params)
     vol = grid.cell_volume
     noise_rng = np.random.default_rng(cfg.seed + 1)
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nehari import cli
+from nehari import cli, solver
 from nehari.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -315,6 +315,40 @@ def test_check_rejects_truncated_state_row(config, tmp_path, capsys):
     assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_check_rejects_state_row_with_extra_column(config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "ground_state.csv")
+    lines = open(path).read().splitlines()
+    lines[1] += ",9"
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam2, factors", [(1.0, 1), (2.0, 2)])
+def test_solve_factors_shifted_laplacian_once_per_problem(tmp_path, monkeypatch, lam2, factors):
+    # both branches, both seeds and both positivity rescales share one factor per lam
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"dim": 2, "extents": [1.0, 1.0], "points": [15, 15]},
+        coefficients={"lam1": 1.0, "lam2": lam2, "mu1": 1.0, "mu2": 1.0, "beta": 0.5},
+        branch_seeds=[0, 1],
+    )
+    splu = solver.spla.splu
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == factors
 
 
 def test_csv_source_with_truncated_row_is_config_error(tmp_path):

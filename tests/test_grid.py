@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nehari.functional import Params
 from nehari.grid import (
@@ -16,6 +18,7 @@ from nehari.grid import (
     l4_norm4,
     l43_norm,
     laplacian_apply,
+    laplacian_matvec,
     pair_from_csv,
     pair_norm_sq,
     pair_to_csv,
@@ -107,6 +110,36 @@ def test_laplacian_2d_kronecker_sum(grid_2d, rng):
     applied = laplacian_apply(grid_2d, Field(grid_2d, w)).values
     floor = 100.0 * np.finfo(float).eps / min(h0, h1) ** 2
     assert np.abs(applied - (lam0 + lam1) * w).max() <= floor
+
+
+def _padded_laplacian(grid, values):
+    """The zero-ghost stencil written with np.pad, as a reference."""
+    v = values.reshape(grid.shape)
+    out = np.zeros_like(v)
+    for axis, h in enumerate(grid.spacing):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(v.ndim)]
+        p = np.pad(v, pad)
+        lo = [slice(0, -2) if a == axis else slice(None) for a in range(v.ndim)]
+        hi = [slice(2, None) if a == axis else slice(None) for a in range(v.ndim)]
+        out += (2.0 * v - p[tuple(lo)] - p[tuple(hi)]) / h**2
+    return out.ravel()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (1.0,), (3,)),
+        Grid(1, (1.0,), (49,)),
+        Grid(2, (1.0, 1.0), (3, 3)),
+        Grid(2, (1.0, 1.0), (17, 17)),
+        Grid(2, (1.0, 1.5), (3, 7)),
+        Grid(2, (2.0, 0.5), (11, 3)),
+    ],
+)
+def test_laplacian_matvec_matches_padded_reference(grid, rng):
+    for _ in range(3):
+        x = rng.standard_normal(grid.size) * 10.0 ** rng.integers(-100, 100, grid.size)
+        assert laplacian_matvec(grid, x).tobytes() == _padded_laplacian(grid, x).tobytes()
 
 
 def test_laplacian_symmetric_positive_definite(grid_1d, rng):
@@ -228,6 +261,55 @@ def test_pair_csv_roundtrip(tmp_path, grid_1d, rng):
     back = pair_from_csv(grid_1d, path)
     assert np.array_equal(back.u.values, p.u.values)
     assert np.array_equal(back.v.values, p.v.values)
+
+
+def _per_row_csv(p: Pair) -> bytes:
+    """The CSV bytes of a pair, one formatted row at a time, as a reference."""
+    grid = p.grid
+    coords = grid.node_coords()
+    indices = np.unravel_index(np.arange(grid.size), grid.shape)
+    names = ("i", "j")[: grid.dim] + ("x", "y")[: grid.dim] + ("u", "v")
+    lines = [",".join(names)]
+    for row in range(grid.size):
+        cells = [str(int(ix[row])) for ix in indices]
+        cells += ["%.17g" % c[row] for c in coords]
+        cells += ["%.17g" % col[row] for col in (p.u.values, p.v.values)]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(st.integers(3, 70), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    extremes=st.lists(_finite, max_size=8),
+)
+def test_pair_csv_bytes_match_per_row_writer(tmp_path_factory, points, seed, extremes):
+    grid = Grid(len(points), (1.0,) * len(points), tuple(points))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.size) * 10.0 ** rng.integers(-300, 300, grid.size)
+    v = rng.standard_normal(grid.size)
+    v[: len(extremes)] = extremes[: grid.size]
+    p = Pair(Field(grid, u), Field(grid, v))
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    pair_to_csv(p, path)
+    assert path.read_bytes() == _per_row_csv(p)
+    back = pair_from_csv(grid, path)
+    assert np.array_equal(back.u.values, u) and np.array_equal(back.v.values, v)
+
+
+def test_csv_extra_column_rejected(tmp_path, grid_1d):
+    path = tmp_path / "w.csv"
+    field_to_csv(zero_field(grid_1d), path)
+    lines = path.read_text().splitlines()
+    wide = [lines[0]] + [line + ",9" for line in lines[1:]]
+    for rows in (wide, lines[:1] + [wide[1]] + lines[2:]):  # every row, one row
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError):
+            field_from_csv(grid_1d, path)
 
 
 def test_csv_wrong_grid_rejected(tmp_path, grid_1d):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,15 @@ def test_small_2d_solve():
     assert out.theta < 0.0
     gap = np.abs(out.state.u.values - out.state.v.values).max()
     assert gap <= 1e-8 * np.abs(out.state.u.values).max()
+
+
+def test_factor_memo_does_not_keep_its_problem_alive():
+    grid, params, _s4, _rep = build_problem(n=31)
+    minimize(N_PLUS, params, grid)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_solution_all_pass(solved):
