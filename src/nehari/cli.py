@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .grid import (
 )
 from .reports import SchemaError, dumps, load_schema, validate, write_json
 from .solver import (
-    BranchVanished,
-    SemiTrivialCollapse,
     SolveReport,
     SolverConfig,
     minimize_over_seeds,
@@ -226,20 +224,10 @@ def resolve_problem(
 
 
 def threshold_to_dict(rep: ThresholdReport) -> dict:
-    return {
-        "s4": rep.s4,
-        "sup_A_bound": rep.sup_A_bound,
-        "alpha": rep.alpha,
-        "lambda_threshold": rep.lambda_threshold,
-        "f_norm": rep.f_norm,
-        "g_norm": rep.g_norm,
-        "satisfied": rep.satisfied,
-        "degenerate_sources": rep.degenerate_sources,
-    }
+    return asdict(rep)
 
 
 def solve_report_to_dict(rep: SolveReport, state_csv: str, seed_disagreement: bool = False) -> dict:
-    cfg = rep.config
     return {
         "branch": rep.branch,
         "seed_disagreement": seed_disagreement,
@@ -258,44 +246,20 @@ def solve_report_to_dict(rep: SolveReport, state_csv: str, seed_disagreement: bo
         "grad_tol": rep.grad_tol,
         "nehari_tol": rep.nehari_tol,
         "noise_injected": rep.noise_injected,
-        "config": {
-            "max_iters": cfg.max_iters,
-            "grad_tol": cfg.grad_tol,
-            "nehari_tol": cfg.nehari_tol,
-            "armijo_factor": cfg.armijo_factor,
-            "armijo_slope": cfg.armijo_slope,
-            "initial_step": cfg.initial_step,
-            "seed": cfg.seed,
-        },
+        "config": asdict(rep.config),
         "state_csv": state_csv,
     }
 
 
-def solve_report_from_dict(d: dict, grid: Grid, state: Pair) -> SolveReport:
-    return SolveReport(
-        branch=d["branch"],
+def solve_report_from_dict(d: dict, state: Pair) -> SolveReport:
+    """The report saved as d, with its state; the histories are not saved."""
+    saved = {f.name: d[f.name] for f in fields(SolveReport) if f.name in d}
+    saved.update(
         state=state,
-        theta=d["theta"],
-        grad_norm=d["grad_norm"],
-        nehari_residual=d["nehari_residual"],
-        classification_value=d["classification_value"],
-        pde_residual=d["pde_residual"],
-        pde_scale=d["pde_scale"],
         positive=tuple(bool(b) for b in d["positive"]),
-        iterations=d["iterations"],
-        converged=d["converged"],
-        norm_min=d["norm_min"],
-        norm_max=d["norm_max"],
-        tau_bound=d["tau_bound"],
-        grad_tol=d["grad_tol"],
-        nehari_tol=d["nehari_tol"],
-        noise_injected=d["noise_injected"],
         config=SolverConfig(**d["config"]),
-        energy_history=(),
-        norm_history=(),
-        source_history=(),
-        indicator_history=(),
     )
+    return SolveReport(**saved)
 
 
 def fibering_to_dict(ana) -> dict:
@@ -368,7 +332,8 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
             )
             if nonneg and rep.converged:
                 rep = positivity_rescale(rep, params)
-        except (BranchVanished, SemiTrivialCollapse) as exc:
+        except RuntimeError as exc:
+            # BranchVanished, SemiTrivialCollapse, or a rescale that raised the energy
             print(f"error: {branch} solve failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER, summary
         reports[stem] = rep
@@ -431,24 +396,21 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
 # --- subcommands --------------------------------------------------------------
 
 
+def _resolve(args, cfg: dict) -> Problem:
+    """The problem of a config with the common command-line overrides applied."""
+    return resolve_problem(cfg, seed=args.seed, rho=args.rho, beta=args.beta, force=args.force)
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    problem = resolve_problem(
-        cfg, seed=args.seed, rho=args.rho, beta=args.beta, force=args.force
-    )
+    problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
     code, _ = run_solve(problem, out_dir, force=args.force)
     return code
 
 
 def cmd_threshold(args) -> int:
-    problem = resolve_problem(
-        load_config(args.config),
-        seed=args.seed,
-        rho=args.rho,
-        beta=args.beta,
-        force=args.force,
-    )
+    problem = _resolve(args, load_config(args.config))
     doc = threshold_to_dict(problem.threshold)
     validate(doc, load_schema("threshold_report"))
     sys.stdout.write(dumps(doc))
@@ -459,13 +421,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fibering(args) -> int:
-    problem = resolve_problem(
-        load_config(args.config),
-        seed=args.seed,
-        rho=args.rho,
-        beta=args.beta,
-        force=args.force,
-    )
+    problem = _resolve(args, load_config(args.config))
     grid, params = problem.grid, problem.params
     if args.direction == "sources":
         direction = Pair(params.f, params.g)
@@ -526,17 +482,8 @@ def cmd_sweep(args) -> int:
     # no swept parameter enters s4, so every value shares one estimate
     s4 = _config_s4(cfg, args.seed)
     payloads = [
-        (
-            cfg,
-            args.parameter,
-            v,
-            args.seed,
-            args.rho,
-            args.beta,
-            args.force,
-            s4,
-            os.path.join(out_dir, _sweep_slug(args.parameter, v)),
-        )
+        (cfg, args.parameter, v, args.seed, args.rho, args.beta, args.force, s4,
+         os.path.join(out_dir, _sweep_slug(args.parameter, v)))
         for v in values
     ]
     if args.jobs > 1:
@@ -553,18 +500,13 @@ def cmd_sweep(args) -> int:
             "positive_minus_u,positive_minus_v\n"
         )
         for value, _code, s in results:
+            flags = (s["converged_plus"], s["converged_minus"], *s["positive_plus"],
+                     *s["positive_minus"])
             row = [
                 fmt % value,
                 str(bool(s["satisfied"])).lower(),
-                fmt % s["lambda_threshold"],
-                fmt % s["theta_plus"],
-                fmt % s["theta_minus"],
-                str(bool(s["converged_plus"])).lower(),
-                str(bool(s["converged_minus"])).lower(),
-                str(bool(s["positive_plus"][0])).lower(),
-                str(bool(s["positive_plus"][1])).lower(),
-                str(bool(s["positive_minus"][0])).lower(),
-                str(bool(s["positive_minus"][1])).lower(),
+                *(fmt % s[k] for k in ("lambda_threshold", "theta_plus", "theta_minus")),
+                *(str(bool(b)).lower() for b in flags),
             ]
             fh.write(",".join(row) + "\n")
     worst = max(code for _v, code, _s in results)
@@ -573,9 +515,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
-    problem = resolve_problem(
-        cfg, seed=args.seed, rho=args.rho, beta=args.beta, force=args.force
-    )
+    problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
     all_ok = True
     found = False
@@ -588,7 +528,7 @@ def cmd_check(args) -> int:
             doc = json.load(fh)
         validate(doc, load_schema("solve_report"))
         state = pair_from_csv(problem.grid, os.path.join(out_dir, doc["state_csv"]))
-        rep = solve_report_from_dict(doc, problem.grid, state)
+        rep = solve_report_from_dict(doc, state)
         checks = verify_solution(rep, problem.params, s4=problem.s4, seed=problem.seed)
         for c in checks:
             mark = "pass" if c.passed else "FAIL"
@@ -656,10 +596,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -41,6 +41,7 @@ __all__ = [
     "NoSuchBranch",
     "analyze",
     "analyze_direction",
+    "branch_root",
     "retract",
 ]
 
@@ -164,16 +165,20 @@ def analyze_direction(p: Pair, params: Params) -> FiberingAnalysis:
     return analyze(norm_sq, quartic_interaction(p, params), source_pairing(p, params))
 
 
-def retract(p: Pair, params: Params, target: str) -> Pair:
-    """Rescale p onto the requested manifold branch (N+ or N-).
+def branch_root(ana: FiberingAnalysis, target: str) -> float:
+    """The root t of the requested branch (N+ or N-) in a fibering analysis.
 
-    Raises NoSuchBranch when the ray through p has no root of that class,
-    e.g. target N+ with B <= 0, or B past the tangency value.
+    Raises NoSuchBranch when the ray has no root of that class, e.g. target
+    N+ with B <= 0, or B past the tangency value.
     """
     if target not in (N_PLUS, N_MINUS):
         raise ValueError(f"target must be {N_PLUS!r} or {N_MINUS!r}, got {target!r}")
-    ana = analyze_direction(p, params)
     for root in ana.roots:
         if root.branch == target:
-            return p.scaled(root.t)
+            return root.t
     raise NoSuchBranch(target, ana.norm_sq, ana.quartic, ana.source, ana.psi_max)
+
+
+def retract(p: Pair, params: Params, target: str) -> Pair:
+    """Rescale p onto the requested manifold branch (N+ or N-); see branch_root."""
+    return p.scaled(branch_root(analyze_direction(p, params), target))

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import Field, Grid, Pair, l4_norm4, laplacian_matvec, pair_norm_sq
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "quartic_interaction",
     "source_pairing",
     "energy",
+    "residual_terms",
     "gradient",
     "nehari_constraint",
     "branch_indicator",
@@ -98,6 +101,22 @@ def energy(p: Pair, params: Params) -> EnergyBreakdown:
     return EnergyBreakdown(quadratic, quartic, source, quadratic - quartic - source)
 
 
+def residual_terms(params: Params, u, v, lu, lv) -> tuple[np.ndarray, np.ndarray]:
+    """Signed terms of the strong residual of each component, one row each.
+
+    Given the stencil values lu = -lap u and lv = -lap v, the u rows are
+    (-lap u, lam1*u, -mu1*u^3, -beta*u*v^2, -f) and the v rows are the same
+    with the roles swapped.  A column sum is the strong residual at a node.
+    """
+    # the two coupling products round differently even where u == v; that
+    # rounding-level asymmetry is what lets a descent leave a symmetric saddle
+    beta, f, g = params.beta, params.f.values, params.g.values
+    return (
+        np.stack((lu, params.lam1 * u, -params.mu1 * (u * u * u), -(beta * u * (v * v)), -f)),
+        np.stack((lv, params.lam2 * v, -params.mu2 * (v * v * v), -(beta * (u * u) * v), -g)),
+    )
+
+
 def gradient(p: Pair, params: Params) -> Pair:
     """Nodal representative of J' scaled by the quadrature weight.
 
@@ -108,22 +127,9 @@ def gradient(p: Pair, params: Params) -> Pair:
     """
     grid = p.grid
     u, v = p.u.values, p.v.values
+    tu, tv = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
     vol = grid.cell_volume
-    ru = (
-        laplacian_matvec(grid, u)
-        + params.lam1 * u
-        - params.mu1 * u**3
-        - params.beta * u * v**2
-        - params.f.values
-    )
-    rv = (
-        laplacian_matvec(grid, v)
-        + params.lam2 * v
-        - params.mu2 * v**3
-        - params.beta * u**2 * v
-        - params.g.values
-    )
-    return Pair(Field(grid, vol * ru), Field(grid, vol * rv))
+    return Pair(Field(grid, vol * tu.sum(axis=0)), Field(grid, vol * tv.sum(axis=0)))
 
 
 def nehari_constraint(p: Pair, params: Params) -> float:

@@ -273,8 +273,21 @@ def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):
         raise ValueError(f"expected {grid.size} rows, got {len(data)}")
     if data.shape[1] != len(want):
         raise ValueError(f"expected {len(want)} columns, got {data.shape[1]}")
-    data = data[:, grid.dim * 2 :]
-    return list(data.T)
+    # a reordered or foreign-grid file must not load as if it were this grid's
+    dim = grid.dim
+    index = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
+    off = np.abs(data[:, dim : 2 * dim] - np.column_stack(grid.node_coords()))
+    for what, wrong in (
+        ("index", data[:, :dim] != index),
+        ("coordinate", ~(off <= 1e-6 * np.array(grid.spacing))),  # NaN fails too
+    ):
+        rows = np.flatnonzero(wrong.any(axis=1))
+        if rows.size:
+            raise ValueError(
+                f"data row {rows[0] + 1}: {what} columns do not match node "
+                f"{tuple(int(i) for i in index[rows[0]])} of the grid"
+            )
+    return list(data[:, 2 * dim :].T)
 
 
 def field_to_csv(w: Field, path) -> None:

@@ -1,8 +1,8 @@
 """Constrained energy minimization on the two manifold branches.
 
-Each iteration retracts the current direction onto the requested branch
-(exact fibering-root rescale), then takes a damped descent step with Armijo
-backtracking on the energy.  The retraction is first order for curves on the
+Each iteration takes a damped descent step with Armijo backtracking on the
+energy, and retracts every trial point onto the requested branch (exact
+fibering-root rescale).  The retraction is first order for curves on the
 manifold, so the free-gradient slope is the correct Armijo model and the
 accepted energies are strictly non-increasing.
 
@@ -15,6 +15,12 @@ mesh dependence while leaving the set of stationary points unchanged.
 Convergence is declared on the free nodal gradient, because any constrained
 stationary point on either branch has a vanishing multiplier and is
 therefore a free critical point.
+
+Along a ray the energy is fixed by the ray data (N, A, B) = (squared norm,
+quartic interaction, source pairing): J(t*p) = t^2*N/2 - t^4*A/4 - t*B.  On
+the trial line p - eta*d these are polynomials in eta, built from one stencil
+pass at p and reductions against d, so Armijo trials need no stencil; the
+accepted point is evaluated directly, so rounding cannot accumulate.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial.polynomial import polyval
 
-from .fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
+from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
 from .functional import (
     Params,
     branch_indicator,
@@ -36,6 +44,7 @@ from .functional import (
     gradient,
     nehari_constraint,
     quartic_interaction,
+    residual_terms,
     source_pairing,
 )
 from .grid import (
@@ -121,10 +130,10 @@ class SolveReport:
     nehari_tol: float
     noise_injected: bool
     config: SolverConfig
-    energy_history: tuple[float, ...] = field(repr=False)
-    norm_history: tuple[float, ...] = field(repr=False)
-    source_history: tuple[float, ...] = field(repr=False)
-    indicator_history: tuple[float, ...] = field(repr=False)
+    energy_history: tuple[float, ...] = field(default=(), repr=False)
+    norm_history: tuple[float, ...] = field(default=(), repr=False)
+    source_history: tuple[float, ...] = field(default=(), repr=False)
+    indicator_history: tuple[float, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,47 +170,75 @@ def _riesz_solves(params: Params):
     return _RIESZ[params]
 
 
-def strong_residuals(p: Pair, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Strong-form stencil residual per node, for each component."""
-    u, v = p.u.values, p.v.values
-    ru = (
-        laplacian_matvec(p.grid, u)
-        + params.lam1 * u
-        - params.mu1 * u**3
-        - params.beta * u * v**2
-        - params.f.values
-    )
-    rv = (
-        laplacian_matvec(p.grid, v)
-        + params.lam2 * v
-        - params.mu2 * v**3
-        - params.beta * u**2 * v
-        - params.g.values
-    )
-    return ru, rv
-
-
-def pde_residual_scale(p: Pair, params: Params) -> tuple[float, float]:
-    """Max-norm of the strong residual and the max-norm scale of its terms."""
-    u, v = p.u.values, p.v.values
-    ru, rv = strong_residuals(p, params)
-    scale_u = (
-        np.abs(laplacian_matvec(p.grid, u))
-        + params.lam1 * np.abs(u)
-        + params.mu1 * np.abs(u) ** 3
-        + abs(params.beta) * np.abs(u) * v**2
-        + np.abs(params.f.values)
-    )
-    scale_v = (
-        np.abs(laplacian_matvec(p.grid, v))
-        + params.lam2 * np.abs(v)
-        + params.mu2 * np.abs(v) ** 3
-        + abs(params.beta) * u**2 * np.abs(v)
-        + np.abs(params.g.values)
-    )
-    res = max(np.abs(ru).max(), np.abs(rv).max())
-    scale = max(scale_u.max(), scale_v.max())
+def pde_residual_scale(terms_u: np.ndarray, terms_v: np.ndarray) -> tuple[float, float]:
+    """Max-norm of the strong residual and of the scale of its residual_terms rows."""
+    res = max(np.abs(t.sum(axis=0)).max() for t in (terms_u, terms_v))
+    scale = max(np.abs(t).sum(axis=0).max() for t in (terms_u, terms_v))
     return float(res), float(scale)
+
+
+class _RayData(NamedTuple):
+    """One direct evaluation of a state: residual terms and ray data."""
+
+    u: np.ndarray
+    v: np.ndarray
+    terms_u: np.ndarray  # residual_terms rows; their column sum is the residual
+    terms_v: np.ndarray
+    norm_sq: float  # N
+    quartic: float  # A
+    source: float  # B
+
+    @property
+    def energy(self) -> float:
+        return 0.5 * self.norm_sq - 0.25 * self.quartic - self.source
+
+
+def _ray_data(params: Params, u: np.ndarray, v: np.ndarray) -> _RayData:
+    """Evaluate a state with one stencil pass per component.
+
+    N, A and B are pairings of the residual rows with the state itself:
+    u.(-lap u) + lam1*|u|^2 is the u part of N, the two nonlinear rows give
+    -A and the source row gives -B.
+    """
+    grid = params.grid
+    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
+    su, sv = terms[0] @ u, terms[1] @ v
+    vol = grid.cell_volume
+    return _RayData(
+        u, v, *terms,
+        norm_sq=float(vol * (su[0] + su[1] + sv[0] + sv[1])),
+        quartic=float(-vol * (su[2] + su[3] + sv[2] + sv[3])),
+        source=float(-vol * (su[4] + sv[4])),
+    )
+
+
+def _line_polynomials(rd: _RayData, du, dv, params: Params):
+    """Coefficients in eta, constant first, of N, A and B along p - eta*d.
+
+    Also returns the slope <J', d>.  The eta^2 coefficient of N is the
+    energy norm of d, which equals the slope when d solves (-lap + lam) d = r.
+    """
+    vol = params.grid.cell_volume
+    pu, pv = rd.terms_u @ du, rd.terms_v @ dv
+    slope = float(vol * (pu.sum() + pv.sum()))
+    # per node (w - eta*dw)^2 = w^2 - 2*eta*w*dw + eta^2*dw^2, so the eta^k
+    # coefficient of A sums a Gram matrix of these six rows over i + j = k;
+    # plain dot products, since one matmul of the stacked rows is 4x slower
+    u, v = rd.u, rd.v
+    rows = (u * u, -2.0 * u * du, du * du, v * v, -2.0 * v * dv, dv * dv)
+    gram = np.array([[a @ b for b in rows] for a in rows])
+    m = params.mu1 * gram[:3, :3] + params.mu2 * gram[3:, 3:] + 2.0 * params.beta * gram[:3, 3:]
+    quartic = vol * np.array([np.fliplr(m).trace(2 - k) for k in range(5)])
+    norm_sq = (rd.norm_sq, -2.0 * vol * (pu[0] + pu[1] + pv[0] + pv[1]), slope)
+    source = (rd.source, vol * (pu[4] + pv[4]))
+    return (norm_sq, quartic, source), slope
+
+
+def _line_trial(branch: str, polys, eta: float) -> tuple[float, float]:
+    """Root t and energy of t*(p - eta*d) on the branch; raises where retract would."""
+    n, a, b = (float(polyval(eta, c)) for c in polys)
+    t = branch_root(analyze(n, a, b), branch)
+    return t, t * t * (0.5 * n - 0.25 * t * t * a) - t * b
 
 
 def _component_positive(values: np.ndarray) -> bool:
@@ -271,29 +308,27 @@ def minimize(
     except NoSuchBranch as exc:
         raise BranchVanished(f"starting direction admits no {branch} root: {exc}") from exc
 
-    j = energy(p, params).total
-    hist_j = [j]
-    hist_norm = [math.sqrt(pair_norm_sq(p, params))]
-    hist_src = [source_pairing(p, params)]
-    hist_ind = [branch_indicator(p, params)]
+    rd = _ray_data(params, p.u.values, p.v.values)
+    hist = [_history(rd)]
     noise_injected = False
     converged = False
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        g = gradient(p, params)
-        grad_norm = max(np.abs(g.u.values).max(), np.abs(g.v.values).max())
+        ru, rv = rd.terms_u.sum(axis=0), rd.terms_v.sum(axis=0)
+        grad_norm = vol * max(np.abs(ru).max(), np.abs(rv).max())
         if grad_norm <= cfg.grad_tol:
             converged = True
             iterations -= 1
             break
 
-        ru = g.u.values / vol
-        rv = g.v.values / vol
-        du = solve1(ru)
-        dv = solve2(rv)
-        slope = vol * float(ru @ du + rv @ dv)
+        if solve1 is solve2:
+            du, dv = solve1(np.column_stack((ru, rv))).T
+        else:
+            du, dv = solve1(ru), solve2(rv)
+        polys, slope = _line_polynomials(rd, du, dv, params)
 
+        j = rd.energy
         eta = cfg.initial_step
         accepted = False
         saw_branch = False
@@ -303,17 +338,13 @@ def minimize(
         # norm as the actual convergence arbiter
         slack = _ENERGY_NOISE_REL * (1.0 + abs(j))
         for _ in range(_MAX_BACKTRACKS):
-            qu = p.u.values - eta * du
-            qv = p.v.values - eta * dv
             try:
-                trial = retract(Pair(Field(grid, qu), Field(grid, qv)), params, branch)
+                t, jt = _line_trial(branch, polys, eta)
             except (NoSuchBranch, ValueError):
                 eta *= cfg.armijo_factor
                 continue
             saw_branch = True
-            jt = energy(trial, params).total
             if jt <= j - cfg.armijo_slope * eta * slope + slack:
-                p, j = trial, jt
                 accepted = True
                 break
             eta *= cfg.armijo_factor
@@ -325,12 +356,13 @@ def minimize(
                     "condition is violated along the current direction"
                 )
             break  # energy is converged to rounding level; report as-is
+        u, v = t * (rd.u - eta * du), t * (rd.v - eta * dv)
 
         # semi-trivial guard: a component collapsing to zero means the
         # iterate is drifting toward a state the system does not admit for
         # nonzero sources; kick it once, abort on a second collapse.
-        nu = _component_l2(grid, p.u.values)
-        nv = _component_l2(grid, p.v.values)
+        nu = _component_l2(grid, u)
+        nv = _component_l2(grid, v)
         scale = math.hypot(nu, nv)
         if scale > 0 and min(nu, nv) < _COLLAPSE_REL * scale:
             if noise_injected:
@@ -339,43 +371,48 @@ def minimize(
                     "after a noise restart"
                 )
             noise_injected = True
-            amp = _NOISE_REL * max(np.abs(p.u.values).max(), np.abs(p.v.values).max())
+            amp = _NOISE_REL * max(np.abs(u).max(), np.abs(v).max())
             kick = noise_rng.standard_normal(grid.size)
-            uu = p.u.values + (amp * kick if nu < nv else 0.0)
-            vv = p.v.values + (amp * kick if nv <= nu else 0.0)
+            uu = u + (amp * kick if nu < nv else 0.0)
+            vv = v + (amp * kick if nv <= nu else 0.0)
             try:
                 p = retract(Pair(Field(grid, uu), Field(grid, vv)), params, branch)
             except NoSuchBranch as exc:
                 raise BranchVanished(
                     f"noise restart left the {branch} root region: {exc}"
                 ) from exc
-            j = energy(p, params).total
+            u, v = p.u.values, p.v.values
 
-        hist_j.append(j)
-        hist_norm.append(math.sqrt(pair_norm_sq(p, params)))
-        hist_src.append(source_pairing(p, params))
-        hist_ind.append(branch_indicator(p, params))
+        rd = _ray_data(params, u, v)
+        hist.append(_history(rd))
 
-    return _build_report(
-        branch, p, params, cfg, iterations, converged, noise_injected,
-        hist_j, hist_norm, hist_src, hist_ind,
+    return _build_report(branch, rd, params, cfg, iterations, converged, noise_injected, hist)
+
+
+def _history(rd: _RayData) -> tuple[float, float, float, float]:
+    """Energy, norm, source pairing and branch indicator 2N - 4A - B."""
+    return (
+        rd.energy,
+        math.sqrt(rd.norm_sq),
+        rd.source,
+        2.0 * rd.norm_sq - 4.0 * rd.quartic - rd.source,
     )
 
 
 def _build_report(
-    branch, p, params, cfg, iterations, converged, noise_injected,
-    hist_j, hist_norm, hist_src, hist_ind,
+    branch, rd, params, cfg, iterations, converged, noise_injected, hist,
 ) -> SolveReport:
+    grid = params.grid
+    p = Pair(Field(grid, rd.u), Field(grid, rd.v))
     g = gradient(p, params)
     grad_norm = float(max(np.abs(g.u.values).max(), np.abs(g.v.values).max()))
-    nsq = pair_norm_sq(p, params)
-    phi = nehari_constraint(p, params)
-    nehari_res = abs(phi) / nsq if nsq > 0 else 0.0
-    indicator = branch_indicator(p, params)
+    nsq, quartic = rd.norm_sq, rd.quartic
+    nehari_res = abs(nsq - quartic - rd.source) / nsq if nsq > 0 else 0.0
+    hist_j, hist_norm, hist_src, hist_ind = zip(*hist)
+    indicator = hist_ind[-1]  # hist ends with the row of rd
     sign_ok = indicator > 0 if branch == N_PLUS else indicator < 0
     converged = converged and nehari_res <= cfg.nehari_tol and sign_ok
-    res, scale = pde_residual_scale(p, params)
-    quartic = quartic_interaction(p, params)
+    res, scale = pde_residual_scale(rd.terms_u, rd.terms_v)
     tau = nsq / math.sqrt(3.0 * quartic) if branch == N_MINUS and quartic > 0 else None
     return SolveReport(
         branch=branch,
@@ -386,10 +423,7 @@ def _build_report(
         classification_value=float(indicator),
         pde_residual=res,
         pde_scale=scale,
-        positive=(
-            _component_positive(p.u.values),
-            _component_positive(p.v.values),
-        ),
+        positive=(_component_positive(rd.u), _component_positive(rd.v)),
         iterations=iterations,
         converged=converged,
         norm_min=float(min(hist_norm)),
@@ -399,10 +433,10 @@ def _build_report(
         nehari_tol=cfg.nehari_tol,
         noise_injected=noise_injected,
         config=cfg,
-        energy_history=tuple(hist_j),
-        norm_history=tuple(hist_norm),
-        source_history=tuple(hist_src),
-        indicator_history=tuple(hist_ind),
+        energy_history=hist_j,
+        norm_history=hist_norm,
+        source_history=hist_src,
+        indicator_history=hist_ind,
     )
 
 
@@ -458,6 +492,27 @@ def positivity_rescale(report: SolveReport, params: Params) -> SolveReport:
             f"{report.theta!r}; this contradicts the absolute-value comparison"
         )
     return new
+
+
+def weak_form_residual(terms, seed: int, n_test_pairs: int) -> float:
+    """Worst relative weak-form residual over seeded random test pairs.
+
+    For a test pair (tu, tv) the weak form is the sum of the ten pairings of
+    the residual rows with the test functions; the stencil term is paired as
+    (-lap u).tu, which equals u.(-lap tu) because the stencil is symmetric.
+    The cell volume cancels from the ratio.
+    """
+    terms_u, terms_v = terms
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_test_pairs):
+        tu = rng.standard_normal(terms_u.shape[1])
+        tv = rng.standard_normal(terms_u.shape[1])
+        pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
+        tscale = np.abs(pairings).sum()
+        if tscale > 0:
+            worst = max(worst, float(abs(pairings.sum()) / tscale))
+    return worst
 
 
 def verify_solution(
@@ -561,35 +616,16 @@ def verify_solution(
         f"J = {j:.6g} >= floor {coercive_floor:.6g}",
     )
 
-    res, scale = pde_residual_scale(p, params)
+    u, v = p.u.values, p.v.values
+    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
+    res, scale = pde_residual_scale(*terms)
     add(
         "pde_residual",
         (not report.converged) or res <= _PDE_RESIDUAL_REL * scale,
         f"strong residual {res:.3e} vs {_PDE_RESIDUAL_REL:.0e} * scale {scale:.6g}",
     )
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    vol = grid.cell_volume
-    u, v = p.u.values, p.v.values
-    for _ in range(n_test_pairs):
-        tu = rng.standard_normal(grid.size)
-        tv = rng.standard_normal(grid.size)
-        terms = [
-            float((u * laplacian_matvec(grid, tu)).sum() * vol),
-            params.lam1 * float((u * tu).sum() * vol),
-            -params.mu1 * float((u**3 * tu).sum() * vol),
-            -params.beta * float((u * v**2 * tu).sum() * vol),
-            -float((params.f.values * tu).sum() * vol),
-            float((v * laplacian_matvec(grid, tv)).sum() * vol),
-            params.lam2 * float((v * tv).sum() * vol),
-            -params.mu2 * float((v**3 * tv).sum() * vol),
-            -params.beta * float((u**2 * v * tv).sum() * vol),
-            -float((params.g.values * tv).sum() * vol),
-        ]
-        tscale = sum(abs(t) for t in terms)
-        if tscale > 0:
-            worst = max(worst, abs(sum(terms)) / tscale)
+    worst = weak_form_residual(terms, seed, n_test_pairs)
     add(
         "weak_form",
         (not report.converged) or worst <= 1e-6,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nehari import cli, solver
 from nehari.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_THRESHOLD,
     main,
 )
@@ -328,6 +330,34 @@ def test_check_rejects_state_row_with_extra_column(config, tmp_path, capsys):
     assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_check_rejects_state_rows_out_of_order(config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "bound_state.csv")
+    lines = open(path).read().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "index columns" in err and "Traceback" not in err
+
+
+def test_rescale_that_raises_the_energy_is_a_solver_failure(config, tmp_path, monkeypatch, capsys):
+    # the rescale's own re-minimisation is made to land higher, so
+    # positivity_rescale raises its RuntimeError
+    real = solver.minimize
+
+    def higher(*args, init=None, **kwargs):
+        rep = real(*args, init=init, **kwargs)
+        return rep if init is None else replace(rep, theta=rep.theta + 1.0)
+
+    monkeypatch.setattr(solver, "minimize", higher)
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "raised the energy" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("lam2, factors", [(1.0, 1), (2.0, 2)])

@@ -318,3 +318,38 @@ def test_csv_wrong_grid_rejected(tmp_path, grid_1d):
     field_to_csv(w, path)
     with pytest.raises(ValueError):
         field_from_csv(Grid(1, (1.0,), (50,)), path)
+
+
+def test_csv_swapped_rows_rejected(tmp_path, grid_2d, rng):
+    path = tmp_path / "w.csv"
+    field_to_csv(Field(grid_2d, rng.standard_normal(grid_2d.size)), path)
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="data row 1: index columns"):
+        field_from_csv(grid_2d, path)
+
+
+def test_csv_foreign_coordinates_rejected(tmp_path, grid_1d):
+    # same header, node count and indices, but the nodes of a longer box
+    path = tmp_path / "w.csv"
+    field_to_csv(zero_field(Grid(1, (1.5,), grid_1d.points)), path)
+    with pytest.raises(ValueError, match="data row 1: coordinate columns"):
+        field_from_csv(grid_1d, path)
+    field_to_csv(zero_field(grid_1d), path)
+    lines = path.read_text().splitlines()
+    lines[3] = "2,nan,0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="data row 3: coordinate columns"):
+        field_from_csv(grid_1d, path)
+
+
+def test_csv_coordinates_rounded_to_nine_digits_load(tmp_path, grid_2d, rng):
+    w = Field(grid_2d, rng.standard_normal(grid_2d.size))
+    path = tmp_path / "w.csv"
+    field_to_csv(w, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for row in rows[1:]:
+        row[2:4] = ["%.9g" % float(c) for c in row[2:4]]
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    assert np.array_equal(field_from_csv(grid_2d, path).values, w.values)

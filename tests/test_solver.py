@@ -1,23 +1,50 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
-from nehari.fibering import N_MINUS, N_PLUS, retract
-from nehari.functional import Params, branch_indicator, energy, gradient, source_pairing
-from nehari.grid import Field, Grid, Pair, first_eigenvector, pair_norm_sq, zero_field
+from nehari import grid as grid_module
+from nehari.fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
+from nehari.functional import (
+    Params,
+    branch_indicator,
+    energy,
+    gradient,
+    quartic_interaction,
+    residual_terms,
+    source_pairing,
+)
+from nehari.grid import (
+    Field,
+    Grid,
+    Pair,
+    first_eigenvector,
+    l43_norm,
+    laplacian_matvec,
+    pair_norm_sq,
+    zero_field,
+)
 from nehari.solver import (
     BranchVanished,
     SemiTrivialCollapse,
     SolverConfig,
+    _line_polynomials,
+    _line_trial,
+    _ray_data,
+    _riesz_solves,
     auto_init,
     minimize,
     positivity_rescale,
     verify_solution,
+    weak_form_residual,
 )
-from nehari.threshold import compute_threshold
+from nehari.threshold import compute_threshold, estimate_s4
 
 from conftest import build_problem, random_pair
 
@@ -267,3 +294,115 @@ def test_verify_solution_detects_perturbation(solved, rng):
     fake = replace(plus, state=noisy)
     checks = {c.name: c.passed for c in verify_solution(fake, params, s4=s4)}
     assert not checks["weak_form"]
+
+
+def _count_stencil_calls(monkeypatch) -> list:
+    """Count laplacian_matvec calls through every nehari module that binds it."""
+    original = grid_module.laplacian_matvec
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nehari") and getattr(module, "laplacian_matvec", None) is original:
+            monkeypatch.setattr(module, "laplacian_matvec", counted)
+    return calls
+
+
+def test_descent_applies_the_stencil_once_per_component_per_step(monkeypatch):
+    # trials come from the line polynomials; only accepted points see the stencil
+    grid, params, _s4, _rep = build_problem(n=15, dim=2)
+    calls = _count_stencil_calls(monkeypatch)
+    out = minimize(N_MINUS, params, grid)
+    assert out.converged and out.iterations > 10
+    assert len(calls) <= 2 * out.iterations + 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2)),
+    beta=st.floats(-0.9, 1.5),
+    log_eta=st.floats(-4.0, 0.3),
+)
+def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
+    # N, A, B and the trial energy along p - eta*d, against retract and energy
+    # on the explicit Pair.  Each is compared relative to the size of its
+    # terms, the scale at which the polynomial evaluation rounds.
+    grid = Grid(1, (1.0,), (15,)) if dim == 1 else Grid(2, (1.0, 1.5), (5, 7))
+    rng = np.random.default_rng(seed)
+    e = first_eigenvector(grid).values
+    f, g = (Field(grid, rng.uniform(0.0, 3.0) * e) for _ in range(2))
+    params = Params(1.0, 2.5, 1.0, 1.5, beta, f, g)
+    u, v = (rng.uniform(0.1, 10.0) * e * (1.0 + 0.3 * rng.standard_normal(grid.size))
+            for _ in range(2))
+    rd = _ray_data(params, u, v)
+    solve1, solve2 = _riesz_solves(params)
+    du, dv = solve1(rd.terms_u.sum(axis=0)), solve2(rd.terms_v.sum(axis=0))
+    polys, _slope = _line_polynomials(rd, du, dv, params)
+    eta = 10.0**log_eta
+    q = Pair(Field(grid, u - eta * du), Field(grid, v - eta * dv))
+    direct = (pair_norm_sq(q, params), quartic_interaction(q, params), source_pairing(q, params))
+    scale_n, scale_a, scale_b = (polyval(eta, np.abs(c)) for c in polys)
+    for coefs, want, scale in zip(polys, direct, (scale_n, scale_a, scale_b)):
+        assert abs(polyval(eta, coefs) - want) <= 1e-12 * scale
+    for branch in (N_PLUS, N_MINUS):
+        try:
+            t, j = _line_trial(branch, polys, eta)
+        except (NoSuchBranch, ValueError):
+            with pytest.raises((NoSuchBranch, ValueError)):
+                retract(q, params, branch)
+            continue
+        ref = energy(retract(q, params, branch), params).total
+        assert abs(j - ref) <= 1e-12 * (t * t * scale_n / 2 + t**4 * scale_a / 4 + t * scale_b)
+
+
+def test_weak_form_residual_matches_per_pair_reference(rng):
+    grid, params, _s4, _rep = build_problem(n=15, dim=2)
+    p = random_pair(grid, rng)
+    u, v = p.u.values, p.v.values
+    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
+    got = weak_form_residual(terms, seed=7, n_test_pairs=20)
+
+    # the stencil applied to every test function, one pair at a time
+    draws = np.random.default_rng(7)
+    vol = grid.cell_volume
+    worst = 0.0
+    for _ in range(20):
+        tu = draws.standard_normal(grid.size)
+        tv = draws.standard_normal(grid.size)
+        pairings = [
+            float((u * laplacian_matvec(grid, tu)).sum() * vol),
+            params.lam1 * float((u * tu).sum() * vol),
+            -params.mu1 * float((u**3 * tu).sum() * vol),
+            -params.beta * float((u * v**2 * tu).sum() * vol),
+            -float((params.f.values * tu).sum() * vol),
+            float((v * laplacian_matvec(grid, tv)).sum() * vol),
+            params.lam2 * float((v * tv).sum() * vol),
+            -params.mu2 * float((v**3 * tv).sum() * vol),
+            -params.beta * float((u**2 * v * tv).sum() * vol),
+            -float((params.g.values * tv).sum() * vol),
+        ]
+        worst = max(worst, abs(sum(pairings)) / sum(abs(t) for t in pairings))
+    assert worst > 1e-3  # a random state is far from solving the system
+    assert got == pytest.approx(worst, rel=1e-12)
+
+
+def test_unequal_lams_solve_with_two_factors_and_verify():
+    grid = Grid(2, (1.0, 1.0), (31, 31))
+    s4 = estimate_s4(grid, 1.0)
+    e = first_eigenvector(grid)
+    probe = Params(1.0, 2.0, 1.0, 1.0, 0.5, e, e)
+    eps = 0.5 * compute_threshold(probe, grid, s4).lambda_threshold / l43_norm(e)
+    params = Params(1.0, 2.0, 1.0, 1.0, 0.5, e.scaled(eps), e.scaled(eps))
+    solve1, solve2 = _riesz_solves(params)
+    assert solve1 is not solve2
+    plus = minimize(N_PLUS, params, grid)
+    minus = minimize(N_MINUS, params, grid)
+    assert plus.theta < 0.0 and plus.theta < minus.theta
+    for rep in (plus, minus):
+        assert rep.converged
+        checks = verify_solution(rep, params, s4=s4)
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
