@@ -37,26 +37,8 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial.polynomial import polyval
 
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
-from .functional import (
-    Params,
-    branch_indicator,
-    energy,
-    gradient,
-    nehari_constraint,
-    quartic_interaction,
-    residual_terms,
-    source_pairing,
-)
-from .grid import (
-    Field,
-    Grid,
-    Pair,
-    first_eigenvector,
-    h1_weighted_norm_sq,
-    l43_norm,
-    laplacian_matvec,
-    pair_norm_sq,
-)
+from .functional import Params, energy, gradient, residual_terms
+from .grid import Field, Grid, Pair, first_eigenvector, l43_norm, laplacian_matvec, pair_norm_sq
 from .threshold import estimate_s4
 
 __all__ = [
@@ -535,26 +517,27 @@ def verify_solution(
         checks.append(CheckResult(name, bool(passed), detail))
 
     p = report.state
-    grid = p.grid
-    nsq = pair_norm_sq(p, params)
+    grid, vol = p.grid, p.grid.cell_volume
+    # every number below but s4 follows from one evaluation of the state
+    rd = _ray_data(params, p.u.values, p.v.values)
+    terms = rd.terms_u, rd.terms_v
+    nsq, quartic, b, j = rd.norm_sq, rd.quartic, rd.source, rd.energy
     norm = math.sqrt(nsq)
-    nu = math.sqrt(h1_weighted_norm_sq(p.u, params.lam1))
-    nv = math.sqrt(h1_weighted_norm_sq(p.v, params.lam2))
+    nu, nv = (math.sqrt(vol * (t[:2] @ w).sum()) for t, w in zip(terms, (rd.u, rd.v)))
     add(
         "state_nontrivial",
         nu > 1e-6 * norm and nv > 1e-6 * norm,
         f"component norms ({nu:.6g}, {nv:.6g}) vs pair norm {norm:.6g}",
     )
 
-    phi = nehari_constraint(p, params)
-    nres = abs(phi) / nsq if nsq > 0 else 0.0
+    nres = abs(nsq - quartic - b) / nsq if nsq > 0 else 0.0
     add(
         "on_manifold",
         nres <= report.nehari_tol,
         f"|Phi|/||p||^2 = {nres:.3e} (tol {report.nehari_tol:.1e})",
     )
 
-    indicator = branch_indicator(p, params)
+    indicator = 2.0 * nsq - 4.0 * quartic - b
     sign_ok = indicator > 0 if report.branch == N_PLUS else indicator < 0
     add(
         "branch_sign",
@@ -562,15 +545,13 @@ def verify_solution(
         f"branch {report.branch} with indicator {indicator:.6g}",
     )
 
-    g = gradient(p, params)
-    gn = float(max(np.abs(g.u.values).max(), np.abs(g.v.values).max()))
+    gn = float(vol * max(np.abs(t.sum(axis=0)).max() for t in terms))
     add(
         "gradient_norm",
         (not report.converged) or gn <= report.grad_tol,
         f"max nodal gradient {gn:.3e} (tol {report.grad_tol:.1e})",
     )
 
-    j = energy(p, params).total
     add(
         "theta_matches_energy",
         abs(j - report.theta) <= 1e-12 * (1.0 + abs(j)),
@@ -587,7 +568,6 @@ def verify_solution(
         f"0 < {report.norm_min:.6g} <= {norm:.6g} <= {report.norm_max:.6g}",
     )
 
-    quartic = quartic_interaction(p, params)
     if report.branch == N_MINUS:
         tau = nsq / math.sqrt(3.0 * quartic)
         add(
@@ -597,7 +577,6 @@ def verify_solution(
             f"||p|| = {norm:.6g} > tau = {tau:.6g}",
         )
 
-    b = source_pairing(p, params)
     identity_res = abs(j - (0.25 * nsq - 0.75 * b))
     add(
         "energy_identity",
@@ -616,8 +595,6 @@ def verify_solution(
         f"J = {j:.6g} >= floor {coercive_floor:.6g}",
     )
 
-    u, v = p.u.values, p.v.values
-    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
     res, scale = pde_residual_scale(*terms)
     add(
         "pde_residual",
@@ -632,7 +609,7 @@ def verify_solution(
         f"worst relative weak-form residual {worst:.3e} over {n_test_pairs} pairs",
     )
 
-    pos_now = (_component_positive(u), _component_positive(v))
+    pos_now = (_component_positive(rd.u), _component_positive(rd.v))
     add(
         "positivity_flags",
         pos_now == report.positive,

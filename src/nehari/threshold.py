@@ -12,7 +12,9 @@ alpha is taken at its maximal admissible value so Lambda is the least
 conservative choice this bound chain allows.  s4 is estimated with respect
 to the lam-weighted single-component norm at lam = min(lam1, lam2): the
 smaller weight gives the larger constant, so one estimate covers both
-components conservatively.
+components conservatively.  The estimate is a projected gradient ascent whose
+trial steps are evaluated from polynomials in the step length, so only an
+accepted step applies the stencil.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .functional import Params, quartic_interaction, source_pairing
 from .grid import (
@@ -29,6 +32,7 @@ from .grid import (
     Pair,
     first_eigenvector,
     l43_norm,
+    laplacian_matvec,
     pair_norm_sq,
     weighted_norm_sq,
 )
@@ -52,35 +56,63 @@ def _l4(vals: np.ndarray, vol: float) -> float:
     return float((((vals * vals) ** 2).sum() * vol) ** 0.25)
 
 
+def _ascent_line(grid: Grid, lam: float, w: np.ndarray, lw: np.ndarray):
+    """Coefficients in s, constant first, along w + s*c with c = w^3.
+
+    Given lw = -lap w, returns (mass, norm, c, -lap c): mass for |w + s*c|_4^4
+    (all terms >= 0, as w + s*c = w*(1 + s*w^2)) and norm for the squared
+    weighted norm vol*(<w,w> + 2s<w,c> + s^2<c,c>), <a,b> = a.(-lap b) + lam*a.b.
+    """
+    vol = grid.cell_volume
+    w2 = w * w
+    c, w4 = w2 * w, w2 * w2
+    lc = laplacian_matvec(grid, c)
+    w6 = c * c
+    m4, m6 = w4.sum(), w6.sum()
+    mass = vol * np.array((m4, 4.0 * m6, 6.0 * (w4 @ w4), 4.0 * (w4 @ w6), w6 @ w6))
+    norm = vol * np.array((w @ lw + lam * w2.sum(), 2.0 * (c @ lw + lam * m4), c @ lc + lam * m6))
+    return mass, norm, c, lc
+
+
+def _line_ratio(mass, norm, s: float) -> float:
+    """The ratio |w + s*c|_4 / |w + s*c|_{H,lam} from the _ascent_line polynomials."""
+    return float(polyval(s, mass) ** 0.25 / math.sqrt(polyval(s, norm)))
+
+
 def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[float, bool]:
     """Maximize |w|_4 on the unit sphere of the lam-weighted norm.
 
-    Normalized projected gradient ascent: step along the nodal gradient of
-    the L4 mass, renormalize, keep the step only if the objective improved.
-    Returns (best ratio, hit_cap).
+    Normalized projected gradient ascent: step along c = w^3, the nodal
+    gradient of the L4 mass, renormalize, keep the step only if the objective
+    improved.  Along w + s*c the L4 mass and the squared norm are polynomials
+    in s (_ascent_line), so a trial step is scalar arithmetic and only an
+    accepted step applies the stencil, to its new c; -lap w follows the step
+    by linearity.  The returned ratio is that of the final w, evaluated
+    directly.  Returns (ratio, hit_cap).
     """
     vol = grid.cell_volume
-
-    def normalize(vals):
-        return vals / math.sqrt(weighted_norm_sq(grid, vals, lam))
-
-    w = normalize(start)
-    obj = _l4(w, vol)
-    step = 1.0
-    stalls = 0
+    lw = laplacian_matvec(grid, start)
+    k = 1.0 / math.sqrt(vol * (start @ lw + lam * (start @ start)))
+    w, lw = k * start, k * lw
+    mass, norm, c, lc = _ascent_line(grid, lam, w, lw)
+    obj = _line_ratio(mass, norm, 0.0)
+    step, stalls, hit_cap = 1.0, 0, True
     for _ in range(max_iters):
-        trial = normalize(w + step * (w * w * w))
-        tobj = _l4(trial, vol)
+        tobj = _line_ratio(mass, norm, step)
         if tobj > obj:
-            w, obj = trial, tobj
+            k = 1.0 / math.sqrt(polyval(step, norm))
+            w, lw = k * (w + step * c), k * (lw + step * lc)
+            mass, norm, c, lc = _ascent_line(grid, lam, w, lw)
+            obj = tobj
             step *= 1.5
             stalls = 0
         else:
             step *= 0.5
             stalls += 1
             if stalls > 60 or step < 1e-18:
-                return obj, False
-    return obj, True
+                hit_cap = False
+                break
+    return _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam)), hit_cap
 
 
 _PROBE_MODES = 4

@@ -7,10 +7,12 @@ forms or brute-force summation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from nehari import grid as grid_module
 from nehari.functional import Params
 from nehari.grid import Field, Grid, Pair, first_eigenvector, l43_norm, zero_field
 from nehari.threshold import compute_threshold, estimate_s4
@@ -33,6 +35,21 @@ def dense_neg_laplacian(grid: Grid) -> np.ndarray:
     eye0 = np.eye(grid.points[0])
     eye1 = np.eye(grid.points[1])
     return np.kron(mats[0], eye1) + np.kron(eye0, mats[1])
+
+
+def count_stencil_calls(monkeypatch) -> list:
+    """Count laplacian_matvec calls through every nehari module that binds it."""
+    original = grid_module.laplacian_matvec
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nehari") and getattr(module, "laplacian_matvec", None) is original:
+            monkeypatch.setattr(module, "laplacian_matvec", counted)
+    return calls
 
 
 # --- fibering root oracle ----------------------------------------------------

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nehari.fibering import (
+    _TANGENT_WINDOW,
     N_MINUS,
     N_PLUS,
     N_ZERO,
@@ -137,6 +140,34 @@ def test_tangency_window_classifies_degenerate():
         ana = analyze(norm_sq, a, b)
         assert [r.branch for r in ana.roots] == [N_ZERO]
         assert ana.roots[0].t == ana.t_turn
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_norm_sq=st.floats(-2.0, 2.0),
+    log_a=st.floats(-2.0, 2.0),
+    # |B - psi_max| from 0.5x to 1e6x the window, clear of its edge at 1x
+    log_gap=st.floats(math.log10(0.5), 6.0).filter(lambda x: abs(x) > 0.05),
+    below=st.booleans(),
+)
+def test_tangency_band_classification(log_norm_sq, log_a, log_gap, below):
+    norm_sq, a = 10.0**log_norm_sq, 10.0**log_a
+    window = _TANGENT_WINDOW * norm_sq**1.5 / math.sqrt(a)
+    psi_max = (2.0 / 3.0) * norm_sq * math.sqrt(norm_sq / (3.0 * a))
+    gap = window * 10.0**log_gap
+    b = psi_max - gap if below else psi_max + gap
+    ana = analyze(norm_sq, a, b)
+    if gap < window:
+        assert [r.branch for r in ana.roots] == [N_ZERO]
+        assert ana.roots[0].t == ana.t_turn
+    elif not below:
+        assert ana.roots == ()
+    else:
+        assert [r.branch for r in ana.roots] == [N_PLUS, N_MINUS]
+        t1, t2 = ana.roots[0].t, ana.roots[1].t
+        assert t1 < ana.t_turn < t2
+        for t in (t1, t2):
+            assert abs(norm_sq * t - a * t**3 - b) <= 1e-12 * (norm_sq + abs(b))
 
 
 def test_root_classes_follow_turning_point():

@@ -1,6 +1,5 @@
 import gc
 import math
-import sys
 import weakref
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from nehari import grid as grid_module
 from nehari.fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
 from nehari.functional import (
     Params,
@@ -46,7 +44,7 @@ from nehari.solver import (
 )
 from nehari.threshold import compute_threshold, estimate_s4
 
-from conftest import build_problem, random_pair
+from conftest import build_problem, count_stencil_calls, random_pair
 
 
 @pytest.fixture(scope="module")
@@ -296,25 +294,19 @@ def test_verify_solution_detects_perturbation(solved, rng):
     assert not checks["weak_form"]
 
 
-def _count_stencil_calls(monkeypatch) -> list:
-    """Count laplacian_matvec calls through every nehari module that binds it."""
-    original = grid_module.laplacian_matvec
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nehari") and getattr(module, "laplacian_matvec", None) is original:
-            monkeypatch.setattr(module, "laplacian_matvec", counted)
-    return calls
+def test_verify_solution_applies_the_stencil_once_per_component(solved, monkeypatch):
+    # every check but the s4 estimate follows from one evaluation of the state
+    _grid, params, s4, plus, _minus = solved
+    calls = count_stencil_calls(monkeypatch)
+    checks = verify_solution(plus, params, s4=s4)
+    assert all(c.passed for c in checks)
+    assert len(calls) == 2
 
 
 def test_descent_applies_the_stencil_once_per_component_per_step(monkeypatch):
     # trials come from the line polynomials; only accepted points see the stencil
     grid, params, _s4, _rep = build_problem(n=15, dim=2)
-    calls = _count_stencil_calls(monkeypatch)
+    calls = count_stencil_calls(monkeypatch)
     out = minimize(N_MINUS, params, grid)
     assert out.converged and out.iterations > 10
     assert len(calls) <= 2 * out.iterations + 20

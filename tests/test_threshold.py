@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nehari import threshold
 from nehari.fibering import N_ZERO, analyze_direction
@@ -14,12 +16,14 @@ from nehari.grid import (
     h1_weighted_norm_sq,
     l4_norm4,
     l43_norm,
+    laplacian_matvec,
     pair_norm_sq,
+    weighted_norm_sq,
     zero_field,
 )
 from nehari.threshold import check_source_bound, compute_threshold, estimate_s4
 
-from conftest import build_problem, random_pair
+from conftest import build_problem, count_stencil_calls, random_pair
 
 
 def ratio(grid, vals, lam):
@@ -79,6 +83,46 @@ def test_smooth_probe_guard_can_fire(monkeypatch):
     # probes reach only about 0.02 on this grid
     monkeypatch.setattr(threshold, "_ascend", lambda *args: (1e-3, False))
     assert estimate_s4(Grid(2, (1.0, 1.0), (31, 31)), 1.0, seed=0) > 0.1
+
+
+def test_ascent_applies_the_stencil_only_on_accepted_steps(monkeypatch):
+    # a trial step is scalar arithmetic; with a stencil per trial, one
+    # estimate at 31^2 made 785 applications
+    calls = count_stencil_calls(monkeypatch)
+    estimate_s4(Grid(2, (1.0, 1.0), (31, 31)), 1.0, seed=0)
+    assert 0 < len(calls) <= 300
+
+
+def test_ascent_runs_from_every_start(monkeypatch):
+    starts = []
+    ascend = threshold._ascend
+
+    def counted(*args):
+        starts.append(1)
+        return ascend(*args)
+
+    monkeypatch.setattr(threshold, "_ascend", counted)
+    estimate_s4(Grid(1, (1.0,), (49,)), 1.0, seed=0)
+    assert len(starts) >= 9  # the eigenvector and 8 seeded random starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2)),
+    lam=st.floats(0.1, 10.0),
+    log_scale=st.floats(-2.0, 1.0),
+    log_step=st.floats(-12.0, 2.0),
+)
+def test_ascent_line_ratio_matches_explicit_step(seed, dim, lam, log_scale, log_step):
+    g = Grid(dim, (1.0,) * dim, (23,) * dim)
+    rng = np.random.default_rng(seed)
+    w = 10.0**log_scale * (rng.standard_normal(g.size) + rng.uniform(-1.0, 1.0))
+    step = 10.0**log_step
+    mass, norm, *_ = threshold._ascent_line(g, lam, w, laplacian_matvec(g, w))
+    trial = w + step * (w * w * w)
+    explicit = threshold._l4(trial, g.cell_volume) / math.sqrt(weighted_norm_sq(g, trial, lam))
+    assert threshold._line_ratio(mass, norm, step) == pytest.approx(explicit, rel=1e-13)
 
 
 def test_threshold_closed_form():
