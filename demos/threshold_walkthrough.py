@@ -15,7 +15,7 @@ import numpy as np
 
 from nehari.fibering import analyze_direction
 from nehari.functional import Params
-from nehari.grid import Field, Grid, Pair, first_eigenvector, l43_norm, pair_norm_sq, zero_field
+from nehari.grid import Field, Grid, Pair, first_eigenvector, l43_norm, zero_field
 from nehari.threshold import compute_threshold, estimate_s4
 
 grid = Grid(1, (1.0,), (199,))
@@ -24,10 +24,10 @@ s4 = estimate_s4(grid, lam, seed=0)
 print(f"grid: 1D, {grid.points[0]} interior nodes on (0, {grid.extents[0]})")
 print(f"discrete Sobolev constant estimate: s4 = {s4:.6f}")
 
-from nehari.grid import h1_weighted_norm_sq, l4_norm4
+from nehari.grid import l4_norm4, weighted_norm_sq
 
 e = first_eigenvector(grid)
-trial = l4_norm4(e) ** 0.25 / math.sqrt(h1_weighted_norm_sq(e, lam))
+trial = l4_norm4(e) ** 0.25 / math.sqrt(weighted_norm_sq(grid, e.values, lam))
 print(f"(first-eigenvector trial ratio: {trial:.6f}; the ascent beats it)")
 print()
 

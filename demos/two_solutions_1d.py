@@ -13,8 +13,8 @@ import os
 import numpy as np
 
 from nehari.fibering import N_MINUS, N_PLUS
-from nehari.functional import Params
-from nehari.grid import Grid, first_eigenvector, l43_norm, pair_norm_sq, pair_to_csv, zero_field
+from nehari.functional import Params, evaluate
+from nehari.grid import Grid, first_eigenvector, l43_norm, pair_to_csv, zero_field
 from nehari.solver import minimize, positivity_rescale, verify_solution
 from nehari.threshold import compute_threshold, estimate_s4
 
@@ -45,7 +45,8 @@ for branch in (N_PLUS, N_MINUS):
     print(f"  iterations      {rep.iterations}")
     print(f"  gradient norm   {rep.grad_norm:.2e}")
     print(f"  pde residual    {rep.pde_residual:.2e} (scale {rep.pde_scale:.1f})")
-    print(f"  state norm      {math.sqrt(pair_norm_sq(rep.state, params)):.4f}")
+    rd = evaluate(params, rep.state.u.values, rep.state.v.values)
+    print(f"  state norm      {math.sqrt(rd.norm_sq):.4f}")
     print(f"  peak amplitude  {amp_u:.4f}")
     print(f"  positive        {rep.positive}")
     print(f"  checks          {'all pass' if not failed else 'FAILED: ' + str(failed)}")

@@ -25,12 +25,10 @@ from .fibering import (
 from .functional import (
     EnergyBreakdown,
     Params,
-    branch_indicator,
+    RayData,
     energy,
+    evaluate,
     gradient,
-    nehari_constraint,
-    quartic_interaction,
-    source_pairing,
 )
 from .grid import (
     Field,
@@ -39,13 +37,11 @@ from .grid import (
     field_from_csv,
     field_from_function,
     field_to_csv,
-    h1_weighted_norm_sq,
     integrate,
     l4_norm4,
     l43_norm,
     laplacian_apply,
     pair_from_csv,
-    pair_norm_sq,
     pair_to_csv,
     zero_field,
 )

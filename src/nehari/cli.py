@@ -167,6 +167,9 @@ def resolve_problem(
 
     f = _build_source(grid, cfg["sources"]["f"], "sources.f")
     g = _build_source(grid, cfg["sources"]["g"], "sources.g")
+    current = max(l43_norm(f), l43_norm(g))
+    if not math.isfinite(current):
+        raise ConfigError("config error at sources: the L^{4/3} norm of a source overflows")
 
     seed_val = _config_seed(cfg, seed)
     if s4 is None:
@@ -186,7 +189,6 @@ def resolve_problem(
                 f"config error at sources.autoscale.rho: rho = {rho_val} must lie "
                 "in (0, 1); pass --force to scale past the threshold deliberately"
             )
-        current = max(l43_norm(f), l43_norm(g))
         if current == 0.0:
             raise ConfigError("config error at sources: cannot autoscale zero sources")
         try:

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .functional import Params, quartic_interaction, source_pairing
-from .grid import Pair, pair_norm_sq
+from .functional import Params, evaluate
+from .grid import Pair
 
 __all__ = [
     "N_PLUS",
@@ -159,10 +159,10 @@ def analyze(norm_sq: float, quartic: float, source: float) -> FiberingAnalysis:
 
 def analyze_direction(p: Pair, params: Params) -> FiberingAnalysis:
     """Fibering analysis along the ray through the (nonzero) state p."""
-    norm_sq = pair_norm_sq(p, params)
-    if norm_sq == 0.0:
+    rd = evaluate(params, p.u.values, p.v.values)
+    if rd.norm_sq == 0.0:
         raise ValueError("cannot analyze the zero direction")
-    return analyze(norm_sq, quartic_interaction(p, params), source_pairing(p, params))
+    return analyze(rd.norm_sq, rd.quartic, rd.source)
 
 
 def branch_root(ana: FiberingAnalysis, target: str) -> float:

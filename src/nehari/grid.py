@@ -25,9 +25,7 @@ __all__ = [
     "integrate",
     "l4_norm4",
     "l43_norm",
-    "h1_weighted_norm_sq",
     "weighted_norm_sq",
-    "pair_norm_sq",
     "field_from_function",
     "zero_field",
     "first_eigenvector",
@@ -69,6 +67,11 @@ class Grid:
             raise ValueError(f"need at least 3 interior nodes per axis, got {points}")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "points", points)
+        for h in self.spacing:
+            if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+                raise ValueError(
+                    f"mesh width {h:.3g}: h^2 and 1/h^2 must be finite and positive"
+                )
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -207,29 +210,14 @@ def l43_norm(w: Field) -> float:
     return s**0.75
 
 
-def h1_weighted_norm_sq(w: Field, lam: float) -> float:
-    """integral(|grad w|^2 + lam*w^2) for a single component.
+def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:
+    """integral(|grad w|^2 + lam*w^2) of one component's nodal values.
 
     The gradient term is evaluated as integrate(w * (-lap w)) so it stays
     exactly consistent with the stencil.
     """
-    return weighted_norm_sq(w.grid, w.values, lam)
-
-
-def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:
-    """h1_weighted_norm_sq of raw nodal values, without building a Field."""
     lap = laplacian_matvec(grid, vals)
     return float(((vals * lap).sum() + lam * (vals**2).sum()) * grid.cell_volume)
-
-
-def pair_norm_sq(p: Pair, params) -> float:
-    """Squared energy norm of a pair with the lam1/lam2 weights of params.
-
-    Nonnegative, and zero only for the zero pair.
-    """
-    return h1_weighted_norm_sq(p.u, params.lam1) + h1_weighted_norm_sq(
-        p.v, params.lam2
-    )
 
 
 # --- CSV serialization -----------------------------------------------------

@@ -24,7 +24,8 @@ class SchemaError(ValueError):
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return "null"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
 
 
 def _emit(obj, indent: int) -> str:

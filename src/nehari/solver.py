@@ -17,10 +17,13 @@ stationary point on either branch has a vanishing multiplier and is
 therefore a free critical point.
 
 Along a ray the energy is fixed by the ray data (N, A, B) = (squared norm,
-quartic interaction, source pairing): J(t*p) = t^2*N/2 - t^4*A/4 - t*B.  On
-the trial line p - eta*d these are polynomials in eta, built from one stencil
-pass at p and reductions against d, so Armijo trials need no stencil; the
-accepted point is evaluated directly, so rounding cannot accumulate.
+quartic interaction, source pairing): J(t*p) = t^2*N/2 - t^4*A/4 - t*B.
+Every number the descent, its report and the verification use is a
+reduction of one functional.evaluate of the state (one stencil pass per
+component).  On the trial line p - eta*d the ray data are polynomials in
+eta, built from that evaluation and reductions against d, so Armijo trials
+need no stencil; the accepted point is evaluated directly, so rounding
+cannot accumulate.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +39,11 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial.polynomial import polyval
 
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
-from .functional import Params, energy, gradient, residual_terms
-from .grid import Field, Grid, Pair, first_eigenvector, l43_norm, laplacian_matvec, pair_norm_sq
+from .functional import Params, RayData, energy, evaluate, gradient, max_norm
+from .grid import Field, Grid, Pair, first_eigenvector, l43_norm
+# unused here since functional.evaluate applies the stencil, but bound on purpose:
+# perfbench's test_wrappers_reach_every_import_site_and_are_removed reads it
+from .grid import laplacian_matvec  # noqa: F401
 from .threshold import estimate_s4
 
 __all__ = [
@@ -152,55 +157,24 @@ def _riesz_solves(params: Params):
     return _RIESZ[params]
 
 
-def pde_residual_scale(terms_u: np.ndarray, terms_v: np.ndarray) -> tuple[float, float]:
-    """Max-norm of the strong residual and of the scale of its residual_terms rows."""
-    res = max(np.abs(t.sum(axis=0)).max() for t in (terms_u, terms_v))
-    scale = max(np.abs(t).sum(axis=0).max() for t in (terms_u, terms_v))
-    return float(res), float(scale)
+def pde_residual_scale(rd: RayData) -> tuple[float, float]:
+    """Max-norm of the strong residual and of the scale of its terms."""
+    scale = max(np.abs(t).sum(axis=0).max() for t in (rd.terms_u, rd.terms_v))
+    return max_norm(*rd.residual), float(scale)
 
 
-class _RayData(NamedTuple):
-    """One direct evaluation of a state: residual terms and ray data."""
-
-    u: np.ndarray
-    v: np.ndarray
-    terms_u: np.ndarray  # residual_terms rows; their column sum is the residual
-    terms_v: np.ndarray
-    norm_sq: float  # N
-    quartic: float  # A
-    source: float  # B
-
-    @property
-    def energy(self) -> float:
-        return 0.5 * self.norm_sq - 0.25 * self.quartic - self.source
+def _on_branch(rd: RayData, branch: str) -> bool:
+    """The branch sign test: indicator positive on N+, negative on N-."""
+    return rd.indicator > 0 if branch == N_PLUS else rd.indicator < 0
 
 
-def _ray_data(params: Params, u: np.ndarray, v: np.ndarray) -> _RayData:
-    """Evaluate a state with one stencil pass per component.
-
-    N, A and B are pairings of the residual rows with the state itself:
-    u.(-lap u) + lam1*|u|^2 is the u part of N, the two nonlinear rows give
-    -A and the source row gives -B.
-    """
-    grid = params.grid
-    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
-    su, sv = terms[0] @ u, terms[1] @ v
-    vol = grid.cell_volume
-    return _RayData(
-        u, v, *terms,
-        norm_sq=float(vol * (su[0] + su[1] + sv[0] + sv[1])),
-        quartic=float(-vol * (su[2] + su[3] + sv[2] + sv[3])),
-        source=float(-vol * (su[4] + sv[4])),
-    )
-
-
-def _line_polynomials(rd: _RayData, du, dv, params: Params):
+def _line_polynomials(rd: RayData, du, dv, params: Params):
     """Coefficients in eta, constant first, of N, A and B along p - eta*d.
 
     Also returns the slope <J', d>.  The eta^2 coefficient of N is the
     energy norm of d, which equals the slope when d solves (-lap + lam) d = r.
     """
-    vol = params.grid.cell_volume
+    vol = rd.vol
     pu, pv = rd.terms_u @ du, rd.terms_v @ dv
     slope = float(vol * (pu.sum() + pv.sum()))
     # per node (w - eta*dw)^2 = w^2 - 2*eta*w*dw + eta^2*dw^2, so the eta^k
@@ -237,26 +211,20 @@ def auto_init(branch: str, params: Params, grid: Grid, seed: int) -> Pair:
     nonzero direction admits the N- root.
     """
     if branch == N_PLUS:
-        p = Pair(params.f, params.g)
-        nsq = pair_norm_sq(p, params)
+        nsq = evaluate(params, params.f.values, params.g.values).norm_sq
         if nsq == 0.0:
             raise ValueError(
                 "cannot build an N+ start from zero sources: no direction "
                 "with positive source pairing is guaranteed"
             )
-        return p.scaled(1.0 / math.sqrt(nsq))
+        return Pair(params.f, params.g).scaled(1.0 / math.sqrt(nsq))
     if branch == N_MINUS:
         base = first_eigenvector(grid).values
         noise = np.random.default_rng(seed).standard_normal(grid.size)
-        vals = base + 1e-2 * noise
-        w = Field(grid, vals)
-        p = Pair(w, w)
-        return p.scaled(1.0 / math.sqrt(pair_norm_sq(p, params)))
+        w = base + 1e-2 * noise
+        p = Pair(Field(grid, w), Field(grid, w))
+        return p.scaled(1.0 / math.sqrt(evaluate(params, w, w).norm_sq))
     raise ValueError(f"branch must be {N_PLUS!r} or {N_MINUS!r}, got {branch!r}")
-
-
-def _component_l2(grid: Grid, values: np.ndarray) -> float:
-    return math.sqrt(float((values**2).sum() * grid.cell_volume))
 
 
 def minimize(
@@ -282,7 +250,6 @@ def minimize(
         init = auto_init(branch, params, grid, cfg.seed)
 
     solve1, solve2 = _riesz_solves(params)
-    vol = grid.cell_volume
     noise_rng = np.random.default_rng(cfg.seed + 1)
 
     try:
@@ -290,20 +257,19 @@ def minimize(
     except NoSuchBranch as exc:
         raise BranchVanished(f"starting direction admits no {branch} root: {exc}") from exc
 
-    rd = _ray_data(params, p.u.values, p.v.values)
+    rd = evaluate(params, p.u.values, p.v.values)
     hist = [_history(rd)]
     noise_injected = False
     converged = False
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        ru, rv = rd.terms_u.sum(axis=0), rd.terms_v.sum(axis=0)
-        grad_norm = vol * max(np.abs(ru).max(), np.abs(rv).max())
-        if grad_norm <= cfg.grad_tol:
+        if rd.grad_norm <= cfg.grad_tol:
             converged = True
             iterations -= 1
             break
 
+        ru, rv = rd.residual
         if solve1 is solve2:
             du, dv = solve1(np.column_stack((ru, rv))).T
         else:
@@ -343,8 +309,7 @@ def minimize(
         # semi-trivial guard: a component collapsing to zero means the
         # iterate is drifting toward a state the system does not admit for
         # nonzero sources; kick it once, abort on a second collapse.
-        nu = _component_l2(grid, u)
-        nv = _component_l2(grid, v)
+        nu, nv = (math.sqrt(float((w**2).sum() * grid.cell_volume)) for w in (u, v))
         scale = math.hypot(nu, nv)
         if scale > 0 and min(nu, nv) < _COLLAPSE_REL * scale:
             if noise_injected:
@@ -353,7 +318,7 @@ def minimize(
                     "after a noise restart"
                 )
             noise_injected = True
-            amp = _NOISE_REL * max(np.abs(u).max(), np.abs(v).max())
+            amp = _NOISE_REL * max_norm(u, v)
             kick = noise_rng.standard_normal(grid.size)
             uu = u + (amp * kick if nu < nv else 0.0)
             vv = v + (amp * kick if nv <= nu else 0.0)
@@ -365,20 +330,15 @@ def minimize(
                 ) from exc
             u, v = p.u.values, p.v.values
 
-        rd = _ray_data(params, u, v)
+        rd = evaluate(params, u, v)
         hist.append(_history(rd))
 
     return _build_report(branch, rd, params, cfg, iterations, converged, noise_injected, hist)
 
 
-def _history(rd: _RayData) -> tuple[float, float, float, float]:
-    """Energy, norm, source pairing and branch indicator 2N - 4A - B."""
-    return (
-        rd.energy,
-        math.sqrt(rd.norm_sq),
-        rd.source,
-        2.0 * rd.norm_sq - 4.0 * rd.quartic - rd.source,
-    )
+def _history(rd: RayData) -> tuple[float, float, float, float]:
+    """Energy, norm, source pairing and branch indicator."""
+    return rd.energy, math.sqrt(rd.norm_sq), rd.source, rd.indicator
 
 
 def _build_report(
@@ -386,23 +346,18 @@ def _build_report(
 ) -> SolveReport:
     grid = params.grid
     p = Pair(Field(grid, rd.u), Field(grid, rd.v))
+    # the public functions re-evaluate p; they equal rd's values bit for bit
     g = gradient(p, params)
-    grad_norm = float(max(np.abs(g.u.values).max(), np.abs(g.v.values).max()))
-    nsq, quartic = rd.norm_sq, rd.quartic
-    nehari_res = abs(nsq - quartic - rd.source) / nsq if nsq > 0 else 0.0
     hist_j, hist_norm, hist_src, hist_ind = zip(*hist)
-    indicator = hist_ind[-1]  # hist ends with the row of rd
-    sign_ok = indicator > 0 if branch == N_PLUS else indicator < 0
-    converged = converged and nehari_res <= cfg.nehari_tol and sign_ok
-    res, scale = pde_residual_scale(rd.terms_u, rd.terms_v)
-    tau = nsq / math.sqrt(3.0 * quartic) if branch == N_MINUS and quartic > 0 else None
+    converged = converged and rd.nehari_residual <= cfg.nehari_tol and _on_branch(rd, branch)
+    res, scale = pde_residual_scale(rd)
     return SolveReport(
         branch=branch,
         state=p,
-        theta=float(energy(p, params).total),
-        grad_norm=grad_norm,
-        nehari_residual=float(nehari_res),
-        classification_value=float(indicator),
+        theta=energy(p, params).total,
+        grad_norm=max_norm(g.u.values, g.v.values),
+        nehari_residual=rd.nehari_residual,
+        classification_value=rd.indicator,
         pde_residual=res,
         pde_scale=scale,
         positive=(_component_positive(rd.u), _component_positive(rd.v)),
@@ -410,7 +365,7 @@ def _build_report(
         converged=converged,
         norm_min=float(min(hist_norm)),
         norm_max=float(max(hist_norm)),
-        tau_bound=tau,
+        tau_bound=rd.origin_gap if branch == N_MINUS else None,
         grad_tol=cfg.grad_tol,
         nehari_tol=cfg.nehari_tol,
         noise_injected=noise_injected,
@@ -437,8 +392,6 @@ def minimize_over_seeds(
     relative, rather than asserting they coincide.
     """
     cfg = cfg or SolverConfig()
-    from dataclasses import replace
-
     reports = [
         minimize(branch, params, grid, replace(cfg, seed=int(s))) for s in seeds
     ]
@@ -517,39 +470,34 @@ def verify_solution(
         checks.append(CheckResult(name, bool(passed), detail))
 
     p = report.state
-    grid, vol = p.grid, p.grid.cell_volume
     # every number below but s4 follows from one evaluation of the state
-    rd = _ray_data(params, p.u.values, p.v.values)
+    rd = evaluate(params, p.u.values, p.v.values)
     terms = rd.terms_u, rd.terms_v
     nsq, quartic, b, j = rd.norm_sq, rd.quartic, rd.source, rd.energy
     norm = math.sqrt(nsq)
-    nu, nv = (math.sqrt(vol * (t[:2] @ w).sum()) for t, w in zip(terms, (rd.u, rd.v)))
+    nu, nv = (math.sqrt(rd.vol * (t[:2] @ w).sum()) for t, w in zip(terms, (rd.u, rd.v)))
     add(
         "state_nontrivial",
         nu > 1e-6 * norm and nv > 1e-6 * norm,
         f"component norms ({nu:.6g}, {nv:.6g}) vs pair norm {norm:.6g}",
     )
 
-    nres = abs(nsq - quartic - b) / nsq if nsq > 0 else 0.0
     add(
         "on_manifold",
-        nres <= report.nehari_tol,
-        f"|Phi|/||p||^2 = {nres:.3e} (tol {report.nehari_tol:.1e})",
+        rd.nehari_residual <= report.nehari_tol,
+        f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {report.nehari_tol:.1e})",
     )
 
-    indicator = 2.0 * nsq - 4.0 * quartic - b
-    sign_ok = indicator > 0 if report.branch == N_PLUS else indicator < 0
     add(
         "branch_sign",
-        sign_ok,
-        f"branch {report.branch} with indicator {indicator:.6g}",
+        _on_branch(rd, report.branch),
+        f"branch {report.branch} with indicator {rd.indicator:.6g}",
     )
 
-    gn = float(vol * max(np.abs(t.sum(axis=0)).max() for t in terms))
     add(
         "gradient_norm",
-        (not report.converged) or gn <= report.grad_tol,
-        f"max nodal gradient {gn:.3e} (tol {report.grad_tol:.1e})",
+        (not report.converged) or rd.grad_norm <= report.grad_tol,
+        f"max nodal gradient {rd.grad_norm:.3e} (tol {report.grad_tol:.1e})",
     )
 
     add(
@@ -569,12 +517,12 @@ def verify_solution(
     )
 
     if report.branch == N_MINUS:
-        tau = nsq / math.sqrt(3.0 * quartic)
+        tau = rd.origin_gap
         add(
             "bound_state_norm_floor",
-            nsq < 3.0 * quartic and norm > tau * (1.0 - 1e-12),
+            tau is not None and nsq < 3.0 * quartic and norm > tau * (1.0 - 1e-12),
             f"||p||^2 = {nsq:.6g} < 3A = {3.0 * quartic:.6g}, "
-            f"||p|| = {norm:.6g} > tau = {tau:.6g}",
+            f"||p|| = {norm:.6g} > tau = {math.nan if tau is None else tau:.6g}",
         )
 
     identity_res = abs(j - (0.25 * nsq - 0.75 * b))
@@ -585,7 +533,7 @@ def verify_solution(
     )
 
     if s4 is None:
-        s4 = estimate_s4(grid, min(params.lam1, params.lam2), seed=seed)
+        s4 = estimate_s4(p.grid, min(params.lam1, params.lam2), seed=seed)
     coercive_floor = 0.25 * nsq - (3.0 * math.sqrt(2.0) / 4.0) * s4 * max(
         l43_norm(params.f), l43_norm(params.g)
     ) * norm
@@ -595,7 +543,7 @@ def verify_solution(
         f"J = {j:.6g} >= floor {coercive_floor:.6g}",
     )
 
-    res, scale = pde_residual_scale(*terms)
+    res, scale = pde_residual_scale(rd)
     add(
         "pde_residual",
         (not report.converged) or res <= _PDE_RESIDUAL_REL * scale,

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .functional import Params, quartic_interaction, source_pairing
+from .functional import Params, evaluate
 from .grid import (
     Grid,
     Pair,
     first_eigenvector,
     l43_norm,
     laplacian_matvec,
-    pair_norm_sq,
     weighted_norm_sq,
 )
 
@@ -225,9 +224,7 @@ def check_source_bound(p: Pair, params: Params, report: ThresholdReport) -> bool
     When report.satisfied is true this must hold for every unit direction;
     it is meant as a property probe, not a runtime guard.
     """
-    nsq = pair_norm_sq(p, params)
-    if abs(math.sqrt(nsq) - 1.0) > 1e-10:
+    rd = evaluate(params, p.u.values, p.v.values)
+    if abs(math.sqrt(rd.norm_sq) - 1.0) > 1e-10:
         raise ValueError("check_source_bound expects a unit-norm pair")
-    a = quartic_interaction(p, params)
-    b = source_pairing(p, params)
-    return b < (2.0 / 3.0) * math.sqrt(1.0 / (3.0 * a))
+    return rd.source < (2.0 / 3.0) * math.sqrt(1.0 / (3.0 * rd.quartic))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nehari import grid as grid_module
-from nehari.functional import Params
+from nehari.functional import Params, RayData, evaluate
 from nehari.grid import Field, Grid, Pair, first_eigenvector, l43_norm, zero_field
 from nehari.threshold import compute_threshold, estimate_s4
 
@@ -125,6 +125,11 @@ def build_problem(
     f = e.scaled(eps)
     params = Params(lam, lam, mu, mu, beta, f, f)
     return grid, params, s4, compute_threshold(params, grid, s4)
+
+
+def ray(p: Pair, params: Params) -> RayData:
+    """The evaluator's ray data of a Pair."""
+    return evaluate(params, p.u.values, p.v.values)
 
 
 def random_pair(grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> Pair:

@@ -20,18 +20,11 @@ from nehari.fibering import (
     analyze_direction,
     retract,
 )
-from nehari.functional import (
-    Params,
-    energy,
-    gradient,
-    nehari_constraint,
-    quartic_interaction,
-    source_pairing,
-)
-from nehari.grid import Field, Grid, Pair, l43_norm, laplacian_matvec, pair_norm_sq
+from nehari.functional import Params, energy, gradient
+from nehari.grid import Field, Grid, Pair, l43_norm, laplacian_matvec
 from nehari.solver import minimize, positivity_rescale, verify_solution
 
-from conftest import build_problem, random_pair, scan_roots
+from conftest import build_problem, random_pair, ray, scan_roots
 
 
 @contextmanager
@@ -133,12 +126,12 @@ def test_criterion_3_manifold_identities(reference_problem):
         for _ in range(500):
             direction = random_pair(grid, rng)
             branch = N_PLUS if done % 2 == 0 else N_MINUS
-            if branch == N_PLUS and source_pairing(direction, params) <= 0:
+            if branch == N_PLUS and ray(direction, params).source <= 0:
                 direction = direction.scaled(-1.0)
             p = retract(direction, params, branch)
-            nsq = pair_norm_sq(p, params)
+            rd = ray(p, params)
+            nsq, b = rd.norm_sq, rd.source
             j = energy(p, params).total
-            b = source_pairing(p, params)
             # on-manifold energy identity
             assert abs(j - (0.25 * nsq - 0.75 * b)) < 1e-8 * (1.0 + abs(j))
             # coercivity lower bound
@@ -175,16 +168,15 @@ def _directed_search_violation(params, start, iters=300):
         return ana.source / ana.psi_max, ana
 
     grid = start.grid
-    p = start.scaled(1.0 / math.sqrt(pair_norm_sq(start, params)))
+    p = start.scaled(1.0 / math.sqrt(ray(start, params).norm_sq))
     val, ana = score(p)
     step = 0.1
     for _ in range(iters):
         if val > 1.0:
             return ana
         u, v = p.u.values, p.v.values
-        a = quartic_interaction(p, params)
-        b = source_pairing(p, params)
-        nsq = pair_norm_sq(p, params)
+        rd = ray(p, params)
+        a, b, nsq = rd.quartic, rd.source, rd.norm_sq
         if b <= 0:
             p = p.scaled(-1.0)
             val, ana = score(p)
@@ -200,7 +192,7 @@ def _directed_search_violation(params, start, iters=300):
             - 3.0 * (laplacian_matvec(grid, v) + params.lam2 * v) / nsq
         )
         trial = Pair(Field(grid, u + step * gu), Field(grid, v + step * gv))
-        trial = trial.scaled(1.0 / math.sqrt(pair_norm_sq(trial, params)))
+        trial = trial.scaled(1.0 / math.sqrt(ray(trial, params).norm_sq))
         tval, tana = score(trial)
         if tval > val:
             p, val, ana = trial, tval, tana
@@ -254,7 +246,7 @@ def test_criterion_6_minimality(reference_problem):
             best = math.inf
             for _ in range(200):
                 direction = random_pair(grid, rng)
-                if branch == N_PLUS and source_pairing(direction, params) <= 0:
+                if branch == N_PLUS and ray(direction, params).source <= 0:
                     direction = direction.scaled(-1.0)
                 p = retract(direction, params, branch)
                 best = min(best, energy(p, params).total)

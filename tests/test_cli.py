@@ -1,10 +1,12 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nehari import cli, solver
 from nehari.cli import (
@@ -12,10 +14,13 @@ from nehari.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_THRESHOLD,
+    EXIT_VERIFY,
     main,
 )
-from nehari.grid import Grid, field_to_csv, first_eigenvector
-from nehari.reports import load_schema, validate
+from nehari.fibering import N_MINUS, N_PLUS
+from nehari.grid import Field, Grid, Pair, field_to_csv, first_eigenvector
+from nehari.reports import dumps, load_schema, validate
+from nehari.solver import SolveReport, SolverConfig
 from nehari.threshold import estimate_s4
 
 
@@ -411,3 +416,108 @@ def test_sweep_estimates_s4_once(tmp_path, monkeypatch):
          "--parameter", "beta", "--values", "0.25,0.5,0.75"]
     ) == EXIT_OK
     assert len(calls) == 1
+
+
+def readme_config(path, **coefficients):
+    """The README config at 1D 49: eigen f, gaussian g, autoscaled to rho 0.5."""
+    co = {"lam1": 1.0, "lam2": 1.0, "mu1": 1.0, "mu2": 1.0, "beta": 0.5, **coefficients}
+    return write_config(
+        path,
+        grid={"dim": 1, "extents": [1.0], "points": [49]},
+        coefficients=co,
+        sources={
+            "f": {"kind": "eigen", "amplitude": 1.0},
+            "g": {"kind": "gaussian", "center": [0.5], "width": 0.1, "amplitude": 1.0},
+            "autoscale": {"rho": 0.5},
+        },
+        solver={"grad_tol": 1e-8},
+    )
+
+
+def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
+    # A = 0 leaves tau = N/sqrt(3A) undefined: the check fails, it does not raise
+    cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "bound_state.csv")
+    lines = open(path).read().splitlines()
+    lines[1:] = [",".join(row.split(",")[:2] + ["0", "0"]) for row in lines[1:]]
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
+    assert "bound_state bound_state_norm_floor: FAIL" in capsys.readouterr().out
+
+
+def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):
+    # the states are so small that mu1*u^3 underflows and A comes out 0;
+    # neither branch meets its constraint tolerance, so this is a solver failure
+    cfg, out = str(readme_config(tmp_path / "c.json", mu1=1e300)), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_SOLVER
+    assert "did not converge" in capsys.readouterr().err
+    floor = [c for c in read_json(os.path.join(out, "checks.json"))["bound_state"]
+             if c["name"] == "bound_state_norm_floor"]
+    assert floor and not floor[0]["passed"]
+
+
+@pytest.mark.parametrize("extent", [1e200, 1e-200])
+def test_grid_with_unrepresentable_mesh_width_is_config_error(tmp_path, capsys, extent):
+    cfg = write_config(tmp_path / "c.json", grid={"dim": 1, "extents": [extent], "points": [49]})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "h^2 and 1/h^2 must be finite and positive" in capsys.readouterr().err
+
+
+def test_source_with_overflowing_norm_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        sources={
+            "f": {"kind": "eigen", "amplitude": 1e300},
+            "g": {"kind": "eigen", "amplitude": 1.0},
+            "autoscale": {"rho": 0.5},
+        },
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "L^{4/3} norm of a source overflows" in capsys.readouterr().err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def solve_reports(draw):
+    grid = Grid(1, (1.0,), (3,))
+    state = Pair(Field(grid, [0.1, 0.2, 0.3]), Field(grid, [0.3, 0.2, 0.1]))
+    config = SolverConfig(
+        max_iters=draw(st.integers(1, 10**9)), grad_tol=draw(_POSITIVE),
+        nehari_tol=draw(_POSITIVE), armijo_factor=draw(_UNIT), armijo_slope=draw(_UNIT),
+        initial_step=draw(_POSITIVE), seed=draw(st.integers(0, 2**64)),
+    )
+    return SolveReport(
+        branch=draw(st.sampled_from((N_PLUS, N_MINUS))), state=state,
+        theta=draw(_FINITE), grad_norm=draw(_FINITE), nehari_residual=draw(_FINITE),
+        classification_value=draw(_FINITE), pde_residual=draw(_FINITE),
+        pde_scale=draw(_FINITE), positive=(draw(st.booleans()), draw(st.booleans())),
+        iterations=draw(st.integers(0, 10**9)), converged=draw(st.booleans()),
+        norm_min=draw(_FINITE), norm_max=draw(_FINITE),
+        tau_bound=draw(st.none() | _FINITE), grad_tol=draw(_POSITIVE),
+        nehari_tol=draw(_POSITIVE), noise_injected=draw(st.booleans()), config=config,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rep=solve_reports(), disagree=st.booleans())
+def test_solve_report_json_round_trip(rep, disagree):
+    text = dumps(cli.solve_report_to_dict(rep, "state.csv", seed_disagreement=disagree))
+    doc = json.loads(text)
+    validate(doc, load_schema("solve_report"))
+    back = cli.solve_report_from_dict(doc, rep.state)
+    saved = [f.name for f in fields(SolveReport) if f.name in doc]
+    histories = {"energy_history", "norm_history", "source_history", "indicator_history"}
+    assert {f.name for f in fields(SolveReport)} - set(saved) == {"state", *histories}
+    for name in saved:
+        want, got = getattr(rep, name), getattr(back, name)
+        assert got == want, name
+        if isinstance(want, float):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), name
+    assert back.state is rep.state
+    assert dumps(cli.solve_report_to_dict(back, "state.csv", seed_disagreement=disagree)) == text

@@ -15,15 +15,10 @@ from nehari.fibering import (
     analyze_direction,
     retract,
 )
-from nehari.functional import (
-    branch_indicator,
-    energy,
-    nehari_constraint,
-    source_pairing,
-)
-from nehari.grid import Grid, pair_norm_sq
+from nehari.functional import energy
+from nehari.grid import Grid
 
-from conftest import build_problem, random_pair, scan_roots
+from conftest import build_problem, random_pair, ray, scan_roots
 
 
 def test_analyze_validates_inputs():
@@ -230,17 +225,15 @@ def test_direction_roots_satisfy_constraint(rng):
         assert ana.roots
         for root in ana.roots:
             scaled = p.scaled(root.t)
-            phi = nehari_constraint(scaled, params)
+            phi = ray(scaled, params).constraint
             assert abs(phi) <= 1e-10 * root.t**2 * ana.norm_sq
 
 
 def test_retract_no_sources(grid_1d, zero_params, rng):
     p = random_pair(grid_1d, rng)
     out = retract(p, zero_params, N_MINUS)
-    nsq = pair_norm_sq(p, zero_params)
-    from nehari.functional import quartic_interaction
-
-    t_expected = math.sqrt(nsq / quartic_interaction(p, zero_params))
+    rd = ray(p, zero_params)
+    t_expected = math.sqrt(rd.norm_sq / rd.quartic)
     assert np.allclose(out.u.values, t_expected * p.u.values, rtol=1e-12)
     with pytest.raises(NoSuchBranch):
         retract(p, zero_params, N_PLUS)
@@ -252,11 +245,11 @@ def test_retract_ground_branch_negative_energy(rng):
     done = 0
     for _ in range(50):
         p = random_pair(grid, rng)
-        if source_pairing(p, params) <= 0:
+        if ray(p, params).source <= 0:
             p = p.scaled(-1.0)
         out = retract(p, params, N_PLUS)
         assert energy(out, params).total < 0.0
-        assert branch_indicator(out, params) > 0.0
+        assert ray(out, params).indicator > 0.0
         done += 1
     assert done == 50
 
@@ -266,12 +259,10 @@ def test_retract_bound_branch_indicator_negative(rng):
     for _ in range(20):
         p = random_pair(grid, rng)
         out = retract(p, params, N_MINUS)
-        assert branch_indicator(out, params) < 0.0
+        rd = ray(out, params)
+        assert rd.indicator < 0.0
         # equivalent form: the retracted norm exceeds the turning scale
-        from nehari.functional import quartic_interaction
-
-        nsq = pair_norm_sq(out, params)
-        assert nsq < 3.0 * quartic_interaction(out, params)
+        assert rd.norm_sq < 3.0 * rd.quartic
 
 
 def test_retract_error_carries_ray_data(grid_1d, zero_params, rng):
@@ -280,6 +271,6 @@ def test_retract_error_carries_ray_data(grid_1d, zero_params, rng):
         retract(p, zero_params, N_PLUS)
     err = excinfo.value
     assert err.psi_max > 0.0
-    assert err.norm_sq == pytest.approx(pair_norm_sq(p, zero_params), rel=1e-14)
+    assert err.norm_sq == pytest.approx(ray(p, zero_params).norm_sq, rel=1e-14)
     with pytest.raises(ValueError):
         retract(p, zero_params, "N0")

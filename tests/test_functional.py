@@ -2,17 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nehari.fibering import NoSuchBranch, retract, N_MINUS, N_PLUS
-from nehari.functional import (
-    Params,
-    branch_indicator,
-    energy,
-    gradient,
-    nehari_constraint,
-    quartic_interaction,
-    source_pairing,
-)
+from nehari.fibering import NoSuchBranch, analyze_direction, retract, N_MINUS, N_PLUS
+from nehari.functional import Params, energy, gradient
 from nehari.grid import (
     Field,
     Pair,
@@ -20,11 +14,12 @@ from nehari.grid import (
     integrate,
     l4_norm4,
     l43_norm,
-    pair_norm_sq,
     zero_field,
 )
 
-from conftest import build_problem, random_pair
+from nehari.solver import SolverConfig, minimize
+
+from conftest import build_problem, random_pair, ray
 
 
 def zero_pair(grid):
@@ -46,10 +41,10 @@ def test_params_validation(grid_1d):
 
 
 def test_quartic_zero_and_single_component(grid_1d, zero_params, rng):
-    assert quartic_interaction(zero_pair(grid_1d), zero_params) == 0.0
+    assert ray(zero_pair(grid_1d), zero_params).quartic == 0.0
     u = Field(grid_1d, rng.standard_normal(grid_1d.size))
     p = Pair(u, zero_field(grid_1d))
-    assert quartic_interaction(p, zero_params) == pytest.approx(
+    assert ray(p, zero_params).quartic == pytest.approx(
         zero_params.mu1 * l4_norm4(u), rel=1e-14
     )
 
@@ -61,7 +56,7 @@ def test_quartic_near_floor_equality_case(grid_1d, rng):
     params = Params(1.0, 1.0, 1.0, 1.0, -0.9, z, z)
     u = Field(grid_1d, rng.standard_normal(grid_1d.size))
     p = Pair(u, u)
-    a = quartic_interaction(p, params)
+    a = ray(p, params).quartic
     assert a == pytest.approx(0.2 * l4_norm4(u) ** 0.5 * l4_norm4(u) ** 0.5, rel=1e-12)
     assert a > 0.0
     # direct summation cross-check
@@ -81,7 +76,7 @@ def test_quartic_remark_lower_bound(grid_1d, rng):
     floor_coef = 2.0 * (math.sqrt(2.0 * 0.5) - 0.6)
     for _ in range(50):
         p = random_pair(grid_1d, rng)
-        a = quartic_interaction(p, params)
+        a = ray(p, params).quartic
         bound = floor_coef * math.sqrt(l4_norm4(p.u)) * math.sqrt(l4_norm4(p.v))
         assert a >= bound - 1e-12
         assert a > 0.0
@@ -91,12 +86,12 @@ def test_source_pairing(grid_1d, rng):
     g = Grid(1, (1.0,), (99,))
     ones = Field(g, np.ones(g.size))
     params = Params(1.0, 1.0, 1.0, 1.0, 0.5, ones, ones)
-    assert source_pairing(zero_pair(g), params) == 0.0
+    assert ray(zero_pair(g), params).source == 0.0
     p = Pair(ones, ones)
-    assert source_pairing(p, params) == pytest.approx(1.98, rel=1e-14)
+    assert ray(p, params).source == pytest.approx(1.98, rel=1e-14)
     q = random_pair(g, rng)
-    assert source_pairing(q.scaled(5.0), params) == pytest.approx(
-        5.0 * source_pairing(q, params), rel=1e-13
+    assert ray(q.scaled(5.0), params).source == pytest.approx(
+        5.0 * ray(q, params).source, rel=1e-13
     )
 
 
@@ -115,7 +110,7 @@ def test_energy_on_manifold_no_sources(grid_1d, zero_params, rng):
     # with B = 0, any retracted state has J = ||p||^2 / 4
     p = retract(random_pair(grid_1d, rng), zero_params, N_MINUS)
     e = energy(p, zero_params)
-    assert e.total == pytest.approx(0.25 * pair_norm_sq(p, zero_params), rel=1e-10)
+    assert e.total == pytest.approx(0.25 * ray(p, zero_params).norm_sq, rel=1e-10)
 
 
 def test_energy_matches_independent_quadrature(grid_1d, rng):
@@ -141,7 +136,12 @@ def test_energy_matches_independent_quadrature(grid_1d, rng):
     )
     src = (f.values * u).sum() * vol + (g.values * v).sum() * vol
     expected = quad - quart - src
-    assert energy(p, params).total == pytest.approx(expected, rel=1e-12)
+    e = energy(p, params)
+    assert e.total == pytest.approx(expected, rel=1e-12)
+    # each part on its own: N, A and B of the evaluator
+    assert e.quadratic == pytest.approx(quad, rel=1e-12)
+    assert e.quartic == pytest.approx(quart, rel=1e-12)
+    assert e.source == pytest.approx(src, rel=1e-12)
 
 
 def test_gradient_at_zero_state(grid_1d, rng):
@@ -178,14 +178,14 @@ def test_gradient_matches_finite_differences(grid_1d, rng):
 
 
 def test_nehari_constraint(grid_1d, zero_params, rng):
-    assert nehari_constraint(zero_pair(grid_1d), zero_params) == 0.0
+    assert ray(zero_pair(grid_1d), zero_params).constraint == 0.0
     p = random_pair(grid_1d, rng)
-    nsq = pair_norm_sq(p, zero_params)
-    a = quartic_interaction(p, zero_params)
+    rd = ray(p, zero_params)
+    nsq, a = rd.norm_sq, rd.quartic
     t_star = math.sqrt(nsq / a)
     scaled = p.scaled(t_star)
-    phi = nehari_constraint(scaled, zero_params)
-    assert abs(phi) <= 1e-10 * pair_norm_sq(scaled, zero_params)
+    phi = ray(scaled, zero_params).constraint
+    assert abs(phi) <= 1e-10 * ray(scaled, zero_params).norm_sq
 
 
 def test_constraint_equals_gradient_pairing(grid_1d, rng):
@@ -196,13 +196,14 @@ def test_constraint_equals_gradient_pairing(grid_1d, rng):
         p = random_pair(grid_1d, rng)
         gr = gradient(p, params)
         pairing = float(gr.u.values @ p.u.values + gr.v.values @ p.v.values)
-        phi = nehari_constraint(p, params)
-        scale = pair_norm_sq(p, params) + abs(phi)
+        rd = ray(p, params)
+        phi = rd.constraint
+        scale = rd.norm_sq + abs(phi)
         assert abs(pairing - phi) <= 1e-12 * scale
 
 
 def test_branch_indicator_zero_state(grid_1d, zero_params):
-    assert branch_indicator(zero_pair(grid_1d), zero_params) == 0.0
+    assert ray(zero_pair(grid_1d), zero_params).indicator == 0.0
 
 
 def test_branch_indicator_on_manifold_identity(rng):
@@ -211,8 +212,9 @@ def test_branch_indicator_on_manifold_identity(rng):
     for _ in range(20):
         direction = random_pair(grid, rng)
         p = retract(direction, params, N_MINUS)
-        lhs = branch_indicator(p, params)
-        rhs = pair_norm_sq(p, params) - 3.0 * quartic_interaction(p, params)
+        rd = ray(p, params)
+        lhs = rd.indicator
+        rhs = rd.norm_sq - 3.0 * rd.quartic
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -226,10 +228,10 @@ def test_energy_identity_on_manifold(rng):
                 p = retract(direction, params, branch)
             except NoSuchBranch:
                 p = retract(direction.scaled(-1.0), params, branch)
-            assert abs(nehari_constraint(p, params)) <= 1e-10 * pair_norm_sq(p, params)
+            rd = ray(p, params)
+            assert abs(rd.constraint) <= 1e-10 * rd.norm_sq
             j = energy(p, params).total
-            b = source_pairing(p, params)
-            rhs = 0.25 * pair_norm_sq(p, params) - 0.75 * b
+            rhs = 0.25 * rd.norm_sq - 0.75 * rd.source
             assert abs(j - rhs) <= 1e-8 * (1.0 + abs(j))
 
 
@@ -239,7 +241,7 @@ def test_coercivity_bound_on_manifold(rng):
     for _ in range(50):
         p = retract(random_pair(grid, rng), params, N_MINUS)
         j = energy(p, params).total
-        norm = math.sqrt(pair_norm_sq(p, params))
+        norm = math.sqrt(ray(p, params).norm_sq)
         assert j >= 0.25 * norm**2 - coef * norm - 1e-9 * (1.0 + abs(j))
 
 
@@ -249,12 +251,41 @@ def test_homogeneity(grid_1d, rng):
     params = Params(1.0, 1.0, 1.0, 1.0, 0.5, f, g)
     p = random_pair(grid_1d, rng)
     for t in (0.3, 2.0, 7.5):
-        assert quartic_interaction(p.scaled(t), params) == pytest.approx(
-            t**4 * quartic_interaction(p, params), rel=1e-12
+        assert ray(p.scaled(t), params).quartic == pytest.approx(
+            t**4 * ray(p, params).quartic, rel=1e-12
         )
-        assert source_pairing(p.scaled(t), params) == pytest.approx(
-            t * source_pairing(p, params), rel=1e-12
+        assert ray(p.scaled(t), params).source == pytest.approx(
+            t * ray(p, params).source, rel=1e-12
         )
-        assert pair_norm_sq(p.scaled(t), params) == pytest.approx(
-            t**2 * pair_norm_sq(p, params), rel=1e-12
+        assert ray(p.scaled(t), params).norm_sq == pytest.approx(
+            t**2 * ray(p, params).norm_sq, rel=1e-12
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2)),
+    beta=st.floats(-0.9, 1.5),
+    log_scale=st.floats(-2.0, 2.0),
+)
+def test_every_functional_is_the_evaluators_value(seed, dim, beta, log_scale):
+    # bit for bit, so a second formula for any of them cannot creep back
+    grid = Grid(1, (1.0,), (31,)) if dim == 1 else Grid(2, (1.0, 1.5), (7, 9))
+    rng = np.random.default_rng(seed)
+    f, g = (Field(grid, rng.standard_normal(grid.size)) for _ in range(2))
+    params = Params(1.3, 0.7, 2.0, 1.1, beta, f, g)
+    p = random_pair(grid, rng, scale=10.0**log_scale)
+    rd = ray(p, params)
+    assert energy(p, params).total == rd.energy
+    gr = gradient(p, params)
+    assert np.array_equal(gr.u.values, rd.gradient[0])
+    assert np.array_equal(gr.v.values, rd.gradient[1])
+    ana = analyze_direction(p, params)
+    assert (ana.norm_sq, ana.quartic, ana.source) == (rd.norm_sq, rd.quartic, rd.source)
+    rep = minimize(N_MINUS, params, grid, SolverConfig(max_iters=2), init=p)
+    final = ray(rep.state, params)
+    assert rep.theta == final.energy
+    assert rep.classification_value == final.indicator
+    assert rep.grad_norm == final.grad_norm
+    assert rep.nehari_residual == final.nehari_residual

@@ -13,19 +13,17 @@ from nehari.grid import (
     field_from_csv,
     field_to_csv,
     first_eigenvector,
-    h1_weighted_norm_sq,
     integrate,
     l4_norm4,
     l43_norm,
     laplacian_apply,
     laplacian_matvec,
     pair_from_csv,
-    pair_norm_sq,
     pair_to_csv,
     zero_field,
 )
 
-from conftest import dense_neg_laplacian, random_pair
+from conftest import dense_neg_laplacian, random_pair, ray
 
 
 def test_grid_validation():
@@ -37,6 +35,10 @@ def test_grid_validation():
         Grid(1, (1.0,), (2,))
     with pytest.raises(ValueError):
         Grid(2, (1.0,), (5, 5))
+    # the stencil divides by h^2: it must be finite and positive, and so must 1/h^2
+    for extents in ((1e200,), (1e-200,), (1.0, 1e160), (1e-160, 1.0)):
+        with pytest.raises(ValueError, match="h\\^2"):
+            Grid(len(extents), extents, (49,) * len(extents))
 
 
 def test_spacing_derived_exactly():
@@ -197,9 +199,9 @@ def test_l4_and_l43_norms():
 
 def test_pair_norm_zero_iff_zero(grid_1d, zero_params):
     p = Pair(zero_field(grid_1d), zero_field(grid_1d))
-    assert pair_norm_sq(p, zero_params) == 0.0
+    assert ray(p, zero_params).norm_sq == 0.0
     q = random_pair(grid_1d, np.random.default_rng(1))
-    assert pair_norm_sq(q, zero_params) > 0.0
+    assert ray(q, zero_params).norm_sq > 0.0
 
 
 def test_pair_norm_eigenvector_value(zero_params):
@@ -210,13 +212,13 @@ def test_pair_norm_eigenvector_value(zero_params):
     u = first_eigenvector(g)
     p = Pair(u, zero_field(g))
     mass = integrate(g, Field(g, u.values**2))
-    assert pair_norm_sq(p, zero_params) == pytest.approx((mu_h + 1.0) * mass, rel=1e-12)
+    assert ray(p, zero_params).norm_sq == pytest.approx((mu_h + 1.0) * mass, rel=1e-12)
 
 
 def test_pair_norm_scaling(grid_1d, zero_params, rng):
     p = random_pair(grid_1d, rng)
-    assert pair_norm_sq(p.scaled(3.0), zero_params) == pytest.approx(
-        9.0 * pair_norm_sq(p, zero_params), rel=1e-13
+    assert ray(p.scaled(3.0), zero_params).norm_sq == pytest.approx(
+        9.0 * ray(p, zero_params).norm_sq, rel=1e-13
     )
 
 
@@ -229,7 +231,7 @@ def test_norm_triangle_inequality(grid_1d, zero_params, rng):
             Field(grid_1d, p.v.values + q.v.values),
         )
         np_, nq, ns = (
-            math.sqrt(pair_norm_sq(x, zero_params)) for x in (p, q, s)
+            math.sqrt(ray(x, zero_params).norm_sq) for x in (p, q, s)
         )
         assert ns <= np_ + nq + 1e-12
 

@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from nehari.fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
-from nehari.functional import (
-    Params,
-    branch_indicator,
-    energy,
-    gradient,
-    quartic_interaction,
-    residual_terms,
-    source_pairing,
-)
+from nehari.functional import Params, energy, evaluate, gradient
 from nehari.grid import (
     Field,
     Grid,
@@ -25,7 +17,6 @@ from nehari.grid import (
     first_eigenvector,
     l43_norm,
     laplacian_matvec,
-    pair_norm_sq,
     zero_field,
 )
 from nehari.solver import (
@@ -34,7 +25,6 @@ from nehari.solver import (
     SolverConfig,
     _line_polynomials,
     _line_trial,
-    _ray_data,
     _riesz_solves,
     auto_init,
     minimize,
@@ -44,7 +34,7 @@ from nehari.solver import (
 )
 from nehari.threshold import compute_threshold, estimate_s4
 
-from conftest import build_problem, count_stencil_calls, random_pair
+from conftest import build_problem, count_stencil_calls, random_pair, ray
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +95,15 @@ def test_manifold_identity_along_iterates(solved):
 def test_norm_bounds_reported(solved):
     _grid, params, _s4, plus, minus = solved
     for rep in (plus, minus):
-        norm = math.sqrt(pair_norm_sq(rep.state, params))
+        norm = math.sqrt(ray(rep.state, params).norm_sq)
         assert 0.0 < rep.norm_min <= norm * (1.0 + 1e-12)
         assert norm <= rep.norm_max * (1.0 + 1e-12)
 
 
 def test_bound_state_stays_away_from_origin(solved):
     _grid, params, _s4, _plus, minus = solved
-    from nehari.functional import quartic_interaction
-
-    nsq = pair_norm_sq(minus.state, params)
-    a = quartic_interaction(minus.state, params)
+    rd = ray(minus.state, params)
+    nsq, a = rd.norm_sq, rd.quartic
     assert nsq < 3.0 * a
     assert minus.tau_bound is not None
     assert math.sqrt(nsq) > minus.tau_bound * (1.0 - 1e-12)
@@ -132,7 +120,7 @@ def test_minimality_against_random_retractions(solved, rng):
     grid, params, _s4, plus, minus = solved
     for _ in range(50):
         p = random_pair(grid, rng)
-        if source_pairing(p, params) <= 0:
+        if ray(p, params).source <= 0:
             p = p.scaled(-1.0)
         assert plus.theta <= energy(retract(p, params, N_PLUS), params).total + 1e-10
         assert minus.theta <= energy(retract(p, params, N_MINUS), params).total + 1e-10
@@ -172,8 +160,8 @@ def test_positivity_rescale_requires_nonnegative_sources(solved, grid_1d):
 def test_auto_init_source_direction(small_problem):
     grid, params, _s4, _rep = small_problem
     init = auto_init(N_PLUS, params, grid, seed=0)
-    assert source_pairing(init, params) > 0.0
-    assert pair_norm_sq(init, params) == pytest.approx(1.0, rel=1e-12)
+    assert ray(init, params).source > 0.0
+    assert ray(init, params).norm_sq == pytest.approx(1.0, rel=1e-12)
 
 
 def test_auto_init_rejects_zero_sources(grid_1d, zero_params):
@@ -330,13 +318,14 @@ def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
     params = Params(1.0, 2.5, 1.0, 1.5, beta, f, g)
     u, v = (rng.uniform(0.1, 10.0) * e * (1.0 + 0.3 * rng.standard_normal(grid.size))
             for _ in range(2))
-    rd = _ray_data(params, u, v)
+    rd = evaluate(params, u, v)
     solve1, solve2 = _riesz_solves(params)
     du, dv = solve1(rd.terms_u.sum(axis=0)), solve2(rd.terms_v.sum(axis=0))
     polys, _slope = _line_polynomials(rd, du, dv, params)
     eta = 10.0**log_eta
     q = Pair(Field(grid, u - eta * du), Field(grid, v - eta * dv))
-    direct = (pair_norm_sq(q, params), quartic_interaction(q, params), source_pairing(q, params))
+    rd_q = ray(q, params)
+    direct = (rd_q.norm_sq, rd_q.quartic, rd_q.source)
     scale_n, scale_a, scale_b = (polyval(eta, np.abs(c)) for c in polys)
     for coefs, want, scale in zip(polys, direct, (scale_n, scale_a, scale_b)):
         assert abs(polyval(eta, coefs) - want) <= 1e-12 * scale
@@ -355,8 +344,8 @@ def test_weak_form_residual_matches_per_pair_reference(rng):
     grid, params, _s4, _rep = build_problem(n=15, dim=2)
     p = random_pair(grid, rng)
     u, v = p.u.values, p.v.values
-    terms = residual_terms(params, u, v, laplacian_matvec(grid, u), laplacian_matvec(grid, v))
-    got = weak_form_residual(terms, seed=7, n_test_pairs=20)
+    rd = evaluate(params, u, v)
+    got = weak_form_residual((rd.terms_u, rd.terms_v), seed=7, n_test_pairs=20)
 
     # the stencil applied to every test function, one pair at a time
     draws = np.random.default_rng(7)

@@ -13,22 +13,20 @@ from nehari.grid import (
     Grid,
     Pair,
     field_from_function,
-    h1_weighted_norm_sq,
     l4_norm4,
     l43_norm,
     laplacian_matvec,
-    pair_norm_sq,
     weighted_norm_sq,
     zero_field,
 )
 from nehari.threshold import check_source_bound, compute_threshold, estimate_s4
 
-from conftest import build_problem, count_stencil_calls, random_pair
+from conftest import build_problem, count_stencil_calls, random_pair, ray
 
 
 def ratio(grid, vals, lam):
     w = Field(grid, vals)
-    return l4_norm4(w) ** 0.25 / math.sqrt(h1_weighted_norm_sq(w, lam))
+    return l4_norm4(w) ** 0.25 / math.sqrt(weighted_norm_sq(w.grid, w.values, lam))
 
 
 def test_s4_dominates_trial_function():
@@ -195,13 +193,13 @@ def test_discrete_sobolev_inequality_on_random_fields():
         vals = rng.standard_normal(g.size)
         w = Field(g, vals)
         assert l4_norm4(w) ** 0.25 <= (1.0 + 1e-9) * s4 * math.sqrt(
-            h1_weighted_norm_sq(w, 1.0)
+            weighted_norm_sq(w.grid, w.values, 1.0)
         )
 
 
 def test_source_bound_no_sources(grid_1d, zero_params, rng):
     p = random_pair(grid_1d, rng)
-    unit = p.scaled(1.0 / math.sqrt(pair_norm_sq(p, zero_params)))
+    unit = p.scaled(1.0 / math.sqrt(ray(p, zero_params).norm_sq))
     rep = compute_threshold(zero_params, grid_1d, estimate_s4(grid_1d, 1.0))
     assert check_source_bound(unit, zero_params, rep)
 
@@ -217,7 +215,7 @@ def test_source_bound_under_smallness(rng):
     assert rep.satisfied
     for _ in range(500):
         p = random_pair(grid, rng)
-        unit = p.scaled(1.0 / math.sqrt(pair_norm_sq(p, params)))
+        unit = p.scaled(1.0 / math.sqrt(ray(p, params).norm_sq))
         assert check_source_bound(unit, params, rep)
 
 
@@ -228,7 +226,7 @@ def test_source_bound_sharpness_past_threshold():
 
     e = first_eigenvector(grid)
     aligned = Pair(e, e)
-    unit = aligned.scaled(1.0 / math.sqrt(pair_norm_sq(aligned, params)))
+    unit = aligned.scaled(1.0 / math.sqrt(ray(aligned, params).norm_sq))
     violated = False
     scale = 1.0
     for _ in range(8):
