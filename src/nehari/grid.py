@@ -178,13 +178,21 @@ def laplacian_matvec(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Apply -Delta (second-order centered stencil, zero Dirichlet ghosts)."""
     v = values.reshape(grid.shape)
     for axis, h in enumerate(grid.spacing):
+        nxt, prev = (np.s_[1:], np.s_[:-1]) if axis == 0 else (np.s_[:, 1:], np.s_[:, :-1])
         term = 2.0 * v
-        t, w = np.moveaxis(term, axis, 0), np.moveaxis(v, axis, 0)
-        t[1:] -= w[:-1]  # a zero ghost neighbour drops out: x - 0.0 == x
-        t[:-1] -= w[1:]
+        term[nxt] -= v[prev]  # a zero ghost neighbour drops out: x - 0.0 == x
+        term[prev] -= v[nxt]
         term /= h**2
         out = term if axis == 0 else np.add(out, term, out=out)
     return out.ravel()
+
+
+def sine_modes(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix of one axis and the eigenvalues of its -Delta stencil."""
+    n, h = grid.points[axis], grid.spacing[axis]
+    k = np.arange(1, n + 1)
+    phase = math.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2))  # j*k reduced exactly
+    return math.sqrt(2.0 / (n + 1)) * np.sin(phase), (2.0 * np.sin(0.5 * phase[0]) / h) ** 2
 
 
 def laplacian_apply(grid: Grid, w: Field) -> Field:

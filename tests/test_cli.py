@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -474,8 +475,13 @@ def test_source_with_overflowing_norm_is_config_error(tmp_path, capsys):
             "autoscale": {"rho": 0.5},
         },
     )
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "L^{4/3} norm of a source overflows" in capsys.readouterr().err
+    for command in ("solve", "threshold"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "L^{4/3} norm of a source overflows" in capsys.readouterr().err
+        # the config error reports alone, with no numpy overflow warning before it
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

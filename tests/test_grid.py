@@ -144,6 +144,19 @@ def test_laplacian_matvec_matches_padded_reference(grid, rng):
         assert laplacian_matvec(grid, x).tobytes() == _padded_laplacian(grid, x).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.integers(3, 40), min_size=1, max_size=2),
+    extents=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_laplacian_matvec_equals_padded_formula_bit_for_bit(points, extents, seed):
+    # ((2v - left) - right)/h^2 per axis on zero ghosts, axis 0 first
+    grid = Grid(len(points), tuple(extents[: len(points)]), tuple(points))
+    x = np.random.default_rng(seed).standard_normal(grid.size)
+    assert np.array_equal(laplacian_matvec(grid, x), _padded_laplacian(grid, x))
+
+
 def test_laplacian_symmetric_positive_definite(grid_1d, rng):
     for _ in range(5):
         a = Field(grid_1d, rng.standard_normal(grid_1d.size))

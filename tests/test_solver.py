@@ -34,7 +34,15 @@ from nehari.solver import (
 )
 from nehari.threshold import compute_threshold, estimate_s4
 
-from conftest import build_problem, count_stencil_calls, random_pair, ray
+from nehari import solver
+
+from conftest import (
+    build_problem,
+    count_stencil_calls,
+    dense_neg_laplacian,
+    random_pair,
+    ray,
+)
 
 
 @pytest.fixture(scope="module")
@@ -387,3 +395,40 @@ def test_unequal_lams_solve_with_two_factors_and_verify():
         assert rep.converged
         checks = verify_solution(rep, params, s4=s4)
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(st.integers(3, 40), min_size=1, max_size=2),
+    extents=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2),
+    log_lam=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shift_solve_inverts_the_shifted_stencil(points, extents, log_lam, seed):
+    # normwise backward error against the dense operator, on square and
+    # non-square grids; two columns at once match two single solves
+    grid = Grid(len(points), tuple(extents[: len(points)]), tuple(points))
+    lam = 10.0**log_lam
+    op = dense_neg_laplacian(grid) + lam * np.eye(grid.size)
+    solve = solver._shift_solve(grid, lam)
+    r = np.random.default_rng(seed).standard_normal((grid.size, 2))
+    for x, col in zip(solve(r).T, r.T):
+        resid = np.abs(op @ x - col).max()
+        assert resid <= 1e-13 * np.abs(op).sum(axis=1).max() * np.abs(x).max()
+        single = solve(col)
+        assert np.abs(x - single).max() <= 1e-14 * np.abs(single).max()
+
+
+def test_shift_factor_has_no_fill(monkeypatch):
+    # a tridiagonal factor per line: L and U hold at most two entries a row
+    grid = Grid(2, (1.0, 2.0), (31, 17))
+    splu, factors = solver.spla.splu, []
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    solver._shift_solve(grid, 1.0)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 4 * grid.size
