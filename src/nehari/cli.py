@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class Problem:
     seed: int
     s4: float
     threshold: ThresholdReport
-    rho: float | None
     branch_seeds: tuple[int, ...]
 
 
@@ -130,17 +129,6 @@ def _config_grid(cfg: dict) -> Grid:
         raise ConfigError(f"config error at grid: {exc}") from exc
 
 
-def _config_seed(cfg: dict, seed: int | None) -> int:
-    return int(cfg.get("seed", 0)) if seed is None else int(seed)
-
-
-def _config_s4(cfg: dict, seed: int | None = None) -> float:
-    """The s4 estimate of a config: it depends on grid, min(lam1, lam2) and seed only."""
-    co = cfg["coefficients"]
-    lam = min(float(co["lam1"]), float(co["lam2"]))
-    return estimate_s4(_config_grid(cfg), lam, seed=_config_seed(cfg, seed))
-
-
 def resolve_problem(
     cfg: dict,
     seed: int | None = None,
@@ -151,20 +139,11 @@ def resolve_problem(
 ) -> Problem:
     """Build the fully resolved problem a subcommand runs against.
 
-    ``s4`` is estimated from the config unless given; a caller that resolves
-    several problems on one grid, lam and seed estimates it once.
+    ``s4`` is estimated from the config unless given; it depends on the grid,
+    min(lam1, lam2) and the seed only, so a caller that resolves several
+    problems on one grid, lam and seed estimates it once.
     """
     grid = _config_grid(cfg)
-
-    co = cfg["coefficients"]
-    beta_val = float(co["beta"]) if beta is None else float(beta)
-    mu1, mu2 = float(co["mu1"]), float(co["mu2"])
-    if mu1 > 0 and mu2 > 0 and beta_val <= -math.sqrt(mu1 * mu2):
-        raise ConfigError(
-            f"config error at coefficients.beta: beta = {beta_val} must exceed "
-            f"-sqrt(mu1*mu2) = {-math.sqrt(mu1 * mu2):.6g}"
-        )
-
     f = _build_source(grid, cfg["sources"]["f"], "sources.f")
     g = _build_source(grid, cfg["sources"]["g"], "sources.g")
     with np.errstate(over="ignore"):  # the isfinite check below reports it
@@ -172,44 +151,38 @@ def resolve_problem(
     if not math.isfinite(current):
         raise ConfigError("config error at sources: the L^{4/3} norm of a source overflows")
 
-    seed_val = _config_seed(cfg, seed)
+    co = cfg["coefficients"]
+    try:
+        params = Params(
+            float(co["lam1"]), float(co["lam2"]), float(co["mu1"]), float(co["mu2"]),
+            float(co["beta"]) if beta is None else float(beta), f, g,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config error at coefficients: {exc}") from exc
+
+    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     if s4 is None:
-        s4 = _config_s4(cfg, seed_val)
+        s4 = estimate_s4(grid, min(params.lam1, params.lam2), seed=seed)
 
     autoscale = cfg["sources"].get("autoscale")
-    rho_val = None
+    if rho is None and autoscale is not None:
+        rho = autoscale["rho"]
     if rho is not None:
-        rho_val = float(rho)
-    elif autoscale is not None:
-        rho_val = float(autoscale["rho"])
-    if rho_val is not None:
-        if rho_val <= 0:
+        rho = float(rho)
+        if rho <= 0:
             raise ConfigError("config error at sources.autoscale.rho: must be positive")
-        if rho_val >= 1 and not force:
+        if rho >= 1 and not force:
             raise ConfigError(
-                f"config error at sources.autoscale.rho: rho = {rho_val} must lie "
+                f"config error at sources.autoscale.rho: rho = {rho} must lie "
                 "in (0, 1); pass --force to scale past the threshold deliberately"
             )
         if current == 0.0:
             raise ConfigError("config error at sources: cannot autoscale zero sources")
-        try:
-            probe = Params(
-                float(co["lam1"]), float(co["lam2"]), mu1, mu2, beta_val, f, g
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config error at coefficients: {exc}") from exc
-        lam_threshold = compute_threshold(probe, grid, s4).lambda_threshold
-        scale = rho_val * lam_threshold / current
-        f = f.scaled(scale)
-        g = g.scaled(scale)
-
-    try:
-        params = Params(float(co["lam1"]), float(co["lam2"]), mu1, mu2, beta_val, f, g)
-    except ValueError as exc:
-        raise ConfigError(f"config error at coefficients: {exc}") from exc
+        scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
+        params = replace(params, f=f.scaled(scale), g=g.scaled(scale))
 
     sspec = dict(cfg.get("solver", {}))
-    sspec.setdefault("seed", seed_val)
+    sspec.setdefault("seed", seed)
     try:
         solver_cfg = SolverConfig(**sspec)
     except (TypeError, ValueError) as exc:
@@ -220,7 +193,7 @@ def resolve_problem(
         raise ConfigError("config error at branch_seeds: need at least one seed")
 
     report = compute_threshold(params, grid, s4)
-    return Problem(grid, params, solver_cfg, seed_val, s4, report, rho_val, branch_seeds)
+    return Problem(grid, params, solver_cfg, seed, s4, report, branch_seeds)
 
 
 # --- report serialization ----------------------------------------------------
@@ -449,17 +422,6 @@ def _sweep_slug(parameter: str, value: float) -> str:
     return f"sweep_{parameter}_{format(value, '.17g')}"
 
 
-def _sweep_one(payload) -> tuple[float, int, dict]:
-    cfg, parameter, value, seed, rho, beta, force, s4, out_dir = payload
-    if parameter == "beta":
-        beta = value
-    else:
-        rho = value
-    problem = resolve_problem(cfg, seed=seed, rho=rho, beta=beta, force=force, s4=s4)
-    code, summary = run_solve(problem, out_dir, force=force)
-    return value, code, summary
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     try:
@@ -468,32 +430,23 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"invalid sweep values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    co = cfg["coefficients"]
-    floor = -math.sqrt(float(co["mu1"]) * float(co["mu2"]))
+
+    # every value is resolved, and so validated, before any is solved; no
+    # swept parameter enters s4, so the first value's estimate serves them all
+    overrides = {"seed": args.seed, "rho": args.rho, "beta": args.beta, "force": args.force}
+    problems = []
     for v in values:
-        if args.parameter == "beta" and v <= floor:
-            raise ConfigError(
-                f"sweep value beta = {v} must exceed -sqrt(mu1*mu2) = {floor:.6g}"
-            )
-        if args.parameter == "rho" and not (0.0 < v < 1.0) and not args.force:
-            raise ConfigError(
-                f"sweep value rho = {v} must lie in (0, 1) without --force"
-            )
+        s4 = problems[0].s4 if problems else None
+        problems.append(resolve_problem(cfg, **{**overrides, args.parameter: v}, s4=s4))
 
     out_dir = args.out or cfg.get("output_dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    # no swept parameter enters s4, so every value shares one estimate
-    s4 = _config_s4(cfg, args.seed)
-    payloads = [
-        (cfg, args.parameter, v, args.seed, args.rho, args.beta, args.force, s4,
-         os.path.join(out_dir, _sweep_slug(args.parameter, v)))
-        for v in values
-    ]
+    out_dirs = [os.path.join(out_dir, _sweep_slug(args.parameter, v)) for v in values]
+    forces = [args.force] * len(values)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_one, payloads))
+            results = list(pool.map(run_solve, problems, out_dirs, forces))
     else:
-        results = [_sweep_one(p) for p in payloads]
+        results = list(map(run_solve, problems, out_dirs, forces))
 
     fmt = "%.17g"
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
@@ -502,7 +455,7 @@ def cmd_sweep(args) -> int:
             "converged_plus,converged_minus,positive_plus_u,positive_plus_v,"
             "positive_minus_u,positive_minus_v\n"
         )
-        for value, _code, s in results:
+        for value, (_code, s) in zip(values, results):
             flags = (s["converged_plus"], s["converged_minus"], *s["positive_plus"],
                      *s["positive_minus"])
             row = [
@@ -512,8 +465,7 @@ def cmd_sweep(args) -> int:
                 *(str(bool(b)).lower() for b in flags),
             ]
             fh.write(",".join(row) + "\n")
-    worst = max(code for _v, code, _s in results)
-    return worst
+    return max(code for code, _s in results)
 
 
 def cmd_check(args) -> int:

@@ -114,6 +114,7 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[
     return _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam)), hit_cap
 
 
+_RESTARTS = 8
 _PROBE_MODES = 4
 _PROBES = 16
 
@@ -141,13 +142,11 @@ def _smooth_probes(grid: Grid, rng: np.random.Generator):
             yield (tables[0].T @ coeffs @ tables[1]).ravel()
 
 
-def estimate_s4(
-    grid: Grid, lam: float, seed: int = 0, restarts: int = 8, max_iters: int = 4000
-) -> float:
+def estimate_s4(grid: Grid, lam: float, seed: int = 0, max_iters: int = 4000) -> float:
     """Estimate of the best constant in |w|_4 <= s4 * |w|_{H,lam}.
 
-    Ascent runs from the first-eigenvector start plus ``restarts`` seeded
-    random starts; the result is the max over starts and is deterministic
+    Ascent runs from the first-eigenvector start plus 8 seeded random
+    starts; the result is the max over starts and is deterministic
     given the seed.  A guard then draws 16 smooth probes, random
     combinations of the first 4 sine modes per axis: a probe whose ratio
     beats the ascent would mean the optimization missed badly, so the ascent
@@ -160,7 +159,7 @@ def estimate_s4(
         raise ValueError(f"lam must be positive, got {lam}")
     rng = np.random.default_rng(seed)
     starts = [first_eigenvector(grid).values]
-    starts += [rng.standard_normal(grid.size) for _ in range(restarts)]
+    starts += [rng.standard_normal(grid.size) for _ in range(_RESTARTS)]
     best = 0.0
     capped = False
     for start in starts:

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_solve_2d_config(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["solve", "--config", str(cfg), "--out", out]) == EXIT_OK
-    header = open(os.path.join(out, "ground_state.csv")).readline().strip()
+    header = Path(out, "ground_state.csv").read_text().splitlines()[0]
     assert header == "i,j,x,y,u,v"
     assert read_json(os.path.join(out, "checks.json"))["all_passed"]
 
@@ -251,7 +252,7 @@ def test_rho_sweep_records_rows(config, tmp_path):
         ["sweep", "--config", config, "--out", out, "--parameter", "rho",
          "--values", "0.1,0.5,0.9", "--jobs", "2"]
     ) == EXIT_OK
-    lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    lines = Path(out, "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 4
     header = lines[0].split(",")
     assert header[:5] == ["value", "satisfied", "lambda_threshold", "theta_plus", "theta_minus"]
@@ -268,18 +269,37 @@ def test_beta_sweep_crossing_zero_stays_satisfied(config, tmp_path):
         ["sweep", "--config", config, "--out", out, "--parameter", "beta",
          "--values=-0.25,0.0,0.25"]
     ) == EXIT_OK
-    lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    lines = Path(out, "sweep.csv").read_text().strip().splitlines()
     rows = [ln.split(",") for ln in lines[1:]]
     assert all(r[1] == "true" for r in rows)
 
 
-def test_sweep_rejects_invalid_value_before_running(config, tmp_path):
-    out = str(tmp_path / "sw")
+@pytest.mark.parametrize("parameter, values, flags", [
+    pytest.param("beta", "0.5,-1.5", [], id="beta-below-floor"),
+    pytest.param("rho", "0.5,1.5", [], id="rho-past-one-without-force"),
+    pytest.param("rho", "0.5,0", ["--force"], id="rho-zero-with-force"),
+])
+def test_sweep_rejects_invalid_value_before_running(config, tmp_path, parameter, values, flags):
+    out = tmp_path / "sw"
     assert main(
-        ["sweep", "--config", config, "--out", out, "--parameter", "beta",
-         "--values", "0.5,-1.5"]
+        ["sweep", "--config", config, "--out", str(out), "--parameter", parameter,
+         "--values", values, *flags]
     ) == EXIT_CONFIG
-    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+    assert not (out / "sweep.csv").exists()
+    assert not list(out.glob("sweep_*"))
+
+
+def test_sweep_jobs_write_the_same_bytes(config, tmp_path):
+    outs = [tmp_path / "j1", tmp_path / "j2"]
+    for jobs, out in zip(("1", "2"), outs):
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--parameter", "beta",
+             "--values", "0.25,0.75", "--jobs", jobs]
+        ) == EXIT_OK
+    names = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(names) == 1 + 2 * 6
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_branch_seeds_config(tmp_path):
@@ -300,19 +320,19 @@ def test_check_detects_tampering(config, tmp_path):
     out = str(tmp_path / "out")
     assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
     path = os.path.join(out, "ground_state.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     cells = lines[1].split(",")
     cells[-1] = "%.17g" % (float(cells[-1]) + 0.05)
     cells[-2] = "%.17g" % (float(cells[-2]) + 0.05)
     lines[1] = ",".join(cells)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     assert main(["check", "--config", config, "--out", out]) == 5
 
 
 def _truncate_first_row(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0]
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def test_check_rejects_truncated_state_row(config, tmp_path, capsys):
@@ -329,9 +349,9 @@ def test_check_rejects_state_row_with_extra_column(config, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
     path = os.path.join(out, "ground_state.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[1] += ",9"
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -342,9 +362,9 @@ def test_check_rejects_state_rows_out_of_order(config, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
     path = os.path.join(out, "bound_state.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", "--config", config, "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -352,13 +372,16 @@ def test_check_rejects_state_rows_out_of_order(config, tmp_path, capsys):
 
 
 def test_rescale_that_raises_the_energy_is_a_solver_failure(config, tmp_path, monkeypatch, capsys):
-    # the rescale's own re-minimisation is made to land higher, so
+    # the descent's state gets a negative component, so the rescale
+    # re-minimises; that re-minimisation is made to land higher, so
     # positivity_rescale raises its RuntimeError
     real = solver.minimize
 
     def higher(*args, init=None, **kwargs):
         rep = real(*args, init=init, **kwargs)
-        return rep if init is None else replace(rep, theta=rep.theta + 1.0)
+        if init is None:
+            return replace(rep, state=Pair(rep.state.u, rep.state.v.scaled(-1.0)))
+        return replace(rep, theta=rep.theta + 1.0)
 
     monkeypatch.setattr(solver, "minimize", higher)
     assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
@@ -435,14 +458,22 @@ def readme_config(path, **coefficients):
     )
 
 
+def test_reports_carry_the_descent_iterations(tmp_path):
+    # a positive state is its own absolute value: the rescale keeps the descent's report
+    cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    for stem in ("ground_state", "bound_state"):
+        assert read_json(os.path.join(out, f"{stem}.json"))["iterations"] > 0, stem
+
+
 def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
     # A = 0 leaves tau = N/sqrt(3A) undefined: the check fails, it does not raise
     cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     path = os.path.join(out, "bound_state.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[1:] = [",".join(row.split(",")[:2] + ["0", "0"]) for row in lines[1:]]
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
     assert "bound_state bound_state_norm_floor: FAIL" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,23 @@ def test_seeds_agree_on_bound_state_energy():
     assert b.theta == pytest.approx(a.theta, rel=1e-6)
 
 
+@pytest.mark.parametrize("noise, runs", [(False, 1), (True, 3)])
+def test_minimize_over_seeds_repeats_nplus_only_after_noise(small_problem, monkeypatch, noise, runs):
+    # auto_init(N+) ignores the seed, which reaches an N+ run only through the
+    # noise restart: without one, a second seed could not change the result
+    grid, params, _s4, _rep = small_problem
+    real, calls = solver.minimize, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return replace(real(*args, **kwargs), noise_injected=noise)
+
+    monkeypatch.setattr(solver, "minimize", counted)
+    best, disagree = solver.minimize_over_seeds(N_PLUS, params, grid, seeds=(0, 1, 2))
+    assert len(calls) == runs
+    assert best.config.seed == 0 and not disagree
+
+
 def test_minimize_over_seeds_returns_best_without_disagreement(small_problem):
     from nehari.solver import minimize_over_seeds
 
@@ -268,8 +286,6 @@ def test_verify_solution_all_pass(solved):
 
 def test_verify_solution_rejects_zero_state(solved):
     grid, params, s4, plus, _minus = solved
-    from dataclasses import replace
-
     zero_state = Pair(zero_field(grid), zero_field(grid))
     fake = replace(plus, state=zero_state)
     checks = {c.name: c.passed for c in verify_solution(fake, params, s4=s4)}
@@ -279,8 +295,6 @@ def test_verify_solution_rejects_zero_state(solved):
 
 def test_verify_solution_detects_perturbation(solved, rng):
     grid, params, s4, plus, _minus = solved
-    from dataclasses import replace
-
     noisy = Pair(
         Field(grid, plus.state.u.values + 1e-3 * rng.standard_normal(grid.size)),
         Field(grid, plus.state.v.values + 1e-3 * rng.standard_normal(grid.size)),
