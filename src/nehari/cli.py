@@ -161,9 +161,6 @@ def resolve_problem(
         raise ConfigError(f"config error at coefficients: {exc}") from exc
 
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-    if s4 is None:
-        s4 = estimate_s4(grid, min(params.lam1, params.lam2), seed=seed)
-
     autoscale = cfg["sources"].get("autoscale")
     if rho is None and autoscale is not None:
         rho = autoscale["rho"]
@@ -178,19 +175,22 @@ def resolve_problem(
             )
         if current == 0.0:
             raise ConfigError("config error at sources: cannot autoscale zero sources")
-        scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
-        params = replace(params, f=f.scaled(scale), g=g.scaled(scale))
 
-    sspec = dict(cfg.get("solver", {}))
-    sspec.setdefault("seed", seed)
     try:
-        solver_cfg = SolverConfig(**sspec)
+        solver_cfg = SolverConfig(**cfg.get("solver", {}), seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error at solver: {exc}") from exc
 
-    branch_seeds = tuple(int(s) for s in cfg.get("branch_seeds", [solver_cfg.seed]))
+    branch_seeds = tuple(int(s) for s in cfg.get("branch_seeds", [seed]))
     if not branch_seeds:
         raise ConfigError("config error at branch_seeds: need at least one seed")
+
+    # every config rule is checked above, so a config error never pays for this
+    if s4 is None:
+        s4 = estimate_s4(grid, min(params.lam1, params.lam2), seed=seed)
+    if rho is not None:
+        scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
+        params = replace(params, f=f.scaled(scale), g=g.scaled(scale))
 
     report = compute_threshold(params, grid, s4)
     return Problem(grid, params, solver_cfg, seed, s4, report, branch_seeds)
@@ -199,37 +199,22 @@ def resolve_problem(
 # --- report serialization ----------------------------------------------------
 
 
-def threshold_to_dict(rep: ThresholdReport) -> dict:
-    return asdict(rep)
+# the saved fields of a SolveReport; the state goes to its own CSV file
+_SAVED = tuple(
+    f.name for f in fields(SolveReport) if f.name != "state" and not f.name.endswith("_history")
+)
 
 
 def solve_report_to_dict(rep: SolveReport, state_csv: str, seed_disagreement: bool = False) -> dict:
-    return {
-        "branch": rep.branch,
-        "seed_disagreement": seed_disagreement,
-        "theta": rep.theta,
-        "grad_norm": rep.grad_norm,
-        "nehari_residual": rep.nehari_residual,
-        "classification_value": rep.classification_value,
-        "pde_residual": rep.pde_residual,
-        "pde_scale": rep.pde_scale,
-        "positive": list(rep.positive),
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        "norm_min": rep.norm_min,
-        "norm_max": rep.norm_max,
-        "tau_bound": rep.tau_bound,
-        "grad_tol": rep.grad_tol,
-        "nehari_tol": rep.nehari_tol,
-        "noise_injected": rep.noise_injected,
-        "config": asdict(rep.config),
-        "state_csv": state_csv,
-    }
+    doc = {"branch": rep.branch, "seed_disagreement": seed_disagreement}
+    doc.update((name, getattr(rep, name)) for name in _SAVED)  # "branch" keeps its place
+    doc.update(config=asdict(rep.config), state_csv=state_csv)
+    return doc
 
 
 def solve_report_from_dict(d: dict, state: Pair) -> SolveReport:
     """The report saved as d, with its state; the histories are not saved."""
-    saved = {f.name: d[f.name] for f in fields(SolveReport) if f.name in d}
+    saved = {name: d[name] for name in _SAVED}
     saved.update(
         state=state,
         positive=tuple(bool(b) for b in d["positive"]),
@@ -247,10 +232,6 @@ def fibering_to_dict(ana) -> dict:
         "psi_max": ana.psi_max,
         "roots": [{"t": r.t, "class": r.branch} for r in ana.roots],
     }
-
-
-def _checks_to_list(checks) -> list:
-    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
 
 
 def _write_validated(obj: dict, schema_name: str, path) -> None:
@@ -275,7 +256,7 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
         "positive_minus": (False, False),
     }
     _write_validated(
-        threshold_to_dict(problem.threshold),
+        asdict(problem.threshold),
         "threshold_report",
         os.path.join(out_dir, "threshold.json"),
     )
@@ -340,8 +321,8 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
     )
     _write_validated(
         {
-            "ground_state": _checks_to_list(checks["ground_state"]),
-            "bound_state": _checks_to_list(checks["bound_state"]),
+            "ground_state": [asdict(c) for c in checks["ground_state"]],
+            "bound_state": [asdict(c) for c in checks["bound_state"]],
             "cross": cross,
             "all_passed": all_passed,
         },
@@ -387,7 +368,7 @@ def cmd_solve(args) -> int:
 
 def cmd_threshold(args) -> int:
     problem = _resolve(args, load_config(args.config))
-    doc = threshold_to_dict(problem.threshold)
+    doc = asdict(problem.threshold)
     validate(doc, load_schema("threshold_report"))
     sys.stdout.write(dumps(doc))
     if args.out:

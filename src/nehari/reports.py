@@ -1,17 +1,18 @@
 """Deterministic JSON report emission and lightweight schema validation.
 
-Reports must be byte-identical for identical inputs, so floats are always
-serialized with fixed 17-significant-digit formatting and keys keep their
-insertion order.  Each report kind has a schema file shipped under
-``nehari/schemas``; the validator below covers the subset of JSON Schema
-those files use (type, properties, required, items, enum,
+Reports must be byte-identical for identical inputs: ``json.dumps`` keeps
+insertion order and writes each float as its shortest repr, which reads back
+as the same float (and ``1.0`` stays a float).  NaN and infinities are not
+JSON, so they raise instead of being written.  Each report kind has a schema
+file shipped under ``nehari/schemas``, whose ``required`` list gives its keys
+in the order they are written; the validator below covers the subset of JSON
+Schema those files use (type, properties, required, items, enum,
 additionalProperties).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 
 __all__ = ["dumps", "write_json", "load_schema", "validate", "SchemaError"]
@@ -21,43 +22,9 @@ class SchemaError(ValueError):
     pass
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    text = format(x, ".17g")
-    return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
-
-
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _emit(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _emit(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def dumps(obj) -> str:
-    return _emit(obj, 0) + "\n"
+    """Indented JSON text of a report; NaN and infinities raise ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(obj, path) -> None:

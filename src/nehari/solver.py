@@ -63,6 +63,9 @@ _COLLAPSE_REL = 1e-8
 _NOISE_REL = 1e-4
 _PDE_RESIDUAL_REL = 1e-6
 _MAX_BACKTRACKS = 60
+_INITIAL_STEP = 1.0
+_ARMIJO_FACTOR = 0.5  # step shrink per backtrack
+_ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the model slope
 _ENERGY_NOISE_REL = 1e-13
 _WEAK_FORM_PAIRS = 20
 
@@ -85,16 +88,13 @@ class SolverConfig:
     max_iters: int = 50_000
     grad_tol: float = 1e-8  # absolute max-norm of the nodal gradient
     nehari_tol: float = 1e-10  # relative constraint residual |Phi|/||p||^2
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
-    initial_step: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.grad_tol > 0 and self.nehari_tol > 0 and self.initial_step > 0):
-            raise ValueError("tolerances and initial step must be positive")
-        if not (0.0 < self.armijo_factor < 1.0 and 0.0 < self.armijo_slope < 1.0):
-            raise ValueError("armijo factor and slope must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (self.grad_tol > 0 and self.nehari_tol > 0):
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def minimize(
         polys, slope = _line_polynomials(rd, du, dv, params)
 
         j = rd.energy
-        eta = cfg.initial_step
+        eta = _INITIAL_STEP
         accepted = False
         saw_branch = False
         # near the minimizer the true per-step decrease drops below the
@@ -297,13 +297,13 @@ def minimize(
             try:
                 t, jt = _line_trial(branch, polys, eta)
             except (NoSuchBranch, ValueError):
-                eta *= cfg.armijo_factor
+                eta *= _ARMIJO_FACTOR
                 continue
             saw_branch = True
-            if jt <= j - cfg.armijo_slope * eta * slope + slack:
+            if jt <= j - _ARMIJO_SLOPE * eta * slope + slack:
                 accepted = True
                 break
-            eta *= cfg.armijo_factor
+            eta *= _ARMIJO_FACTOR
 
         if not accepted:
             if not saw_branch:

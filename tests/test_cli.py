@@ -75,16 +75,32 @@ def test_solve_reference_config(config, tmp_path):
     assert gs["positive"] == [True, True] and bs["positive"] == [True, True]
 
 
-def test_reports_validate_against_schemas(config, tmp_path):
+def assert_key_order(doc, schema):
+    """Every object in doc lists its keys in the order of its schema's required list."""
+    if isinstance(doc, dict):
+        assert list(doc) == schema["required"]
+        for key, value in doc.items():
+            assert_key_order(value, schema["properties"][key])
+    elif isinstance(doc, list):
+        for item in doc:
+            assert_key_order(item, schema["items"])
+
+
+def test_reports_validate_against_schemas(config, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["solve", "--config", config, "--out", out]) == EXIT_OK
-    for name, schema in (
-        ("threshold.json", "threshold_report"),
-        ("ground_state.json", "solve_report"),
-        ("bound_state.json", "solve_report"),
-        ("checks.json", "checks"),
+    assert main(["fibering", "--config", config]) == EXIT_OK
+    fibering = json.loads(capsys.readouterr().out)
+    for doc, name in (
+        (read_json(os.path.join(out, "threshold.json")), "threshold_report"),
+        (read_json(os.path.join(out, "ground_state.json")), "solve_report"),
+        (read_json(os.path.join(out, "bound_state.json")), "solve_report"),
+        (read_json(os.path.join(out, "checks.json")), "checks"),
+        (fibering, "fibering_analysis"),
     ):
-        validate(read_json(os.path.join(out, name)), load_schema(schema))
+        schema = load_schema(name)
+        validate(doc, schema)
+        assert_key_order(doc, schema)
 
 
 def test_zero_sources_rejected_naming_hypothesis(tmp_path, capsys):
@@ -107,8 +123,25 @@ def test_beta_validation_exit_code(config, tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
-def test_rho_requires_force_past_one(config, tmp_path):
-    assert main(["solve", "--config", config, "--out", str(tmp_path / "o"), "--rho", "1.2"]) == EXIT_CONFIG
+def count_s4_estimates(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_s4(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_s4", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho", ["1.2", "0"])
+@pytest.mark.parametrize("command", ["solve", "threshold"])
+def test_rho_requires_force_past_one(config, tmp_path, monkeypatch, command, rho):
+    # the rho range is a config rule, checked before the costly s4 estimate
+    calls = count_s4_estimates(monkeypatch)
+    argv = [command, "--config", config, "--out", str(tmp_path / "o"), "--rho", rho]
+    assert main(argv) == EXIT_CONFIG
+    assert calls == []
 
 
 def test_threshold_not_satisfied_without_force(tmp_path, capsys):
@@ -428,13 +461,7 @@ def test_csv_source_with_truncated_row_is_config_error(tmp_path):
 
 def test_sweep_estimates_s4_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", grid={"dim": 1, "extents": [1.0], "points": [31]})
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return estimate_s4(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "estimate_s4", counted)
+    calls = count_s4_estimates(monkeypatch)
     assert main(
         ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
          "--parameter", "beta", "--values", "0.25,0.5,0.75"]
@@ -517,7 +544,6 @@ def test_source_with_overflowing_norm_is_config_error(tmp_path, capsys):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
@@ -526,8 +552,7 @@ def solve_reports(draw):
     state = Pair(Field(grid, [0.1, 0.2, 0.3]), Field(grid, [0.3, 0.2, 0.1]))
     config = SolverConfig(
         max_iters=draw(st.integers(1, 10**9)), grad_tol=draw(_POSITIVE),
-        nehari_tol=draw(_POSITIVE), armijo_factor=draw(_UNIT), armijo_slope=draw(_UNIT),
-        initial_step=draw(_POSITIVE), seed=draw(st.integers(0, 2**64)),
+        nehari_tol=draw(_POSITIVE), seed=draw(st.integers(0, 2**64)),
     )
     return SolveReport(
         branch=draw(st.sampled_from((N_PLUS, N_MINUS))), state=state,
@@ -554,7 +579,39 @@ def test_solve_report_json_round_trip(rep, disagree):
     for name in saved:
         want, got = getattr(rep, name), getattr(back, name)
         assert got == want, name
+        assert type(got) is type(want), name  # 1.0 must not come back as the int 1
         if isinstance(want, float):
             assert math.copysign(1.0, got) == math.copysign(1.0, want), name
+    for f in fields(SolverConfig):
+        want, got = getattr(rep.config, f.name), getattr(back.config, f.name)
+        assert type(got) is type(want), f"config.{f.name}"
     assert back.state is rep.state
     assert dumps(cli.solve_report_to_dict(back, "state.csv", seed_disagreement=disagree)) == text
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_dumps_rejects_non_finite_floats(x):
+    # NaN and infinities are not JSON; a report must not hide them as null
+    with pytest.raises(ValueError):
+        dumps({"theta": x})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iters", 0),
+        ("max_iters", -3),
+        ("armijo_factor", 0.5),
+        ("armijo_slope", 1e-4),
+        ("initial_step", 1.0),
+        ("seed", 0),
+    ],
+)
+def test_bad_solver_settings_are_config_errors(tmp_path, monkeypatch, capsys, key, value):
+    # a cap below one iteration, or a key the solver has no setting for
+    cfg = write_config(tmp_path / "c.json", solver={key: value})
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert calls == [] and not out.exists()
