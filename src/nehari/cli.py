@@ -99,8 +99,8 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
         if center.shape != (grid.dim,):
             raise ConfigError(f"{where}: gaussian center must have {grid.dim} entries")
         width = float(spec["width"])
-        if width <= 0:
-            raise ConfigError(f"{where}: gaussian width must be positive")
+        if not width > 0:
+            raise ConfigError(f"{where}: gaussian width must be positive, got {width}")
         coords = grid.node_coords()
         r2 = sum((c - center[k]) ** 2 for k, c in enumerate(coords))
         return Field(grid, float(spec["amplitude"]) * np.exp(-r2 / (2.0 * width**2)))
@@ -166,8 +166,10 @@ def resolve_problem(
         rho = autoscale["rho"]
     if rho is not None:
         rho = float(rho)
-        if rho <= 0:
-            raise ConfigError("config error at sources.autoscale.rho: must be positive")
+        if not 0 < rho < math.inf:
+            raise ConfigError(
+                f"config error at sources.autoscale.rho: must be positive and finite, got {rho}"
+            )
         if rho >= 1 and not force:
             raise ConfigError(
                 f"config error at sources.autoscale.rho: rho = {rho} must lie "

@@ -32,9 +32,10 @@ __all__ = ["Params", "EnergyBreakdown", "RayData", "evaluate", "energy", "gradie
 class Params:
     """Coefficients and source terms of the coupled system.
 
-    Validity: lam1, lam2, mu1, mu2 > 0 and beta > -sqrt(mu1*mu2).  The
-    coupling may be negative down to that floor; the quartic interaction
-    stays strictly positive for nonzero states on that whole range.
+    Validity: lam1, lam2, mu1, mu2 > 0 and beta > -sqrt(mu1*mu2), all
+    finite.  The coupling may be negative down to that floor; the quartic
+    interaction stays strictly positive for nonzero states on that whole
+    range.
     """
 
     lam1: float
@@ -47,12 +48,12 @@ class Params:
 
     def __post_init__(self):
         for name in ("lam1", "lam2", "mu1", "mu2"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         floor = -math.sqrt(self.mu1 * self.mu2)
-        if not self.beta > floor:
+        if not floor < self.beta < math.inf:
             raise ValueError(
-                f"beta must exceed -sqrt(mu1*mu2) = {floor:.6g}, got {self.beta}"
+                f"beta must be finite and exceed -sqrt(mu1*mu2) = {floor:.6g}, got {self.beta}"
             )
         if self.f.grid != self.g.grid:
             raise ValueError("source fields f and g must share one grid")

@@ -28,8 +28,10 @@ def dumps(obj) -> str:
 
 
 def write_json(obj, path) -> None:
+    """Write dumps(obj) to path; a report that cannot be dumped leaves no file."""
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def load_schema(name: str) -> dict:

@@ -21,7 +21,7 @@ from nehari.cli import (
 )
 from nehari.fibering import N_MINUS, N_PLUS
 from nehari.grid import Field, Grid, Pair, field_to_csv, first_eigenvector
-from nehari.reports import dumps, load_schema, validate
+from nehari.reports import dumps, load_schema, validate, write_json
 from nehari.solver import SolveReport, SolverConfig
 from nehari.threshold import estimate_s4
 
@@ -590,10 +590,15 @@ def test_solve_report_json_round_trip(rep, disagree):
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_dumps_rejects_non_finite_floats(x):
+def test_dumps_rejects_non_finite_floats(x, tmp_path):
     # NaN and infinities are not JSON; a report must not hide them as null
     with pytest.raises(ValueError):
         dumps({"theta": x})
+    # nor leave an empty file behind
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json({"theta": x}, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -615,3 +620,37 @@ def test_bad_solver_settings_are_config_errors(tmp_path, monkeypatch, capsys, ke
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, flags, key",
+    [
+        ("threshold", ('"lam1": 1.0', '"lam1": Infinity'), [], "lam1"),
+        ("solve", ('"lam1": 1.0', '"lam1": Infinity'), [], "lam1"),
+        ("solve", ('"mu2": 1.0', '"mu2": Infinity'), [], "mu2"),
+        ("threshold", None, ["--beta", "inf"], "beta"),
+        ("solve", None, ["--rho", "nan"], "rho"),
+        ("solve", None, ["--rho", "inf", "--force"], "rho"),
+        ("solve", ('"width": 0.1', '"width": NaN'), [], "width"),
+    ],
+    ids=["threshold-lam1-inf", "solve-lam1-inf", "solve-mu2-inf", "threshold-beta-inf",
+         "solve-rho-nan", "solve-rho-inf-force", "solve-width-nan"],
+)
+def test_non_finite_config_numbers_are_config_errors(
+    tmp_path, monkeypatch, capsys, command, edit, flags, key
+):
+    # Python's json reads Infinity and NaN, and argparse's float reads inf and nan
+    cfg = readme_config(tmp_path / "c.json")
+    if edit:
+        text = cfg.read_text()
+        assert edit[0] in text
+        cfg.write_text(text.replace(edit[0], edit[1]))
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    assert caught == []

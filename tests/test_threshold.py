@@ -13,6 +13,7 @@ from nehari.grid import (
     Grid,
     Pair,
     field_from_function,
+    first_eigenvector,
     l4_norm4,
     l43_norm,
     laplacian_matvec,
@@ -63,17 +64,26 @@ def test_s4_warns_on_iteration_cap():
     assert val > 0.0  # best-so-far is still returned
 
 
+_PINNED = [
+    # the pow-based ascent with the 1,000-probe white-noise guard
+    (Grid(1, (1.0,), (199,)), 1.0, 0.33839493841794804),
+    (Grid(2, (1.0, 1.0), (63, 63)), 1.0, 0.27868208723539084),
+    # the benchmark grids, from the ascent with 8 white-noise restarts
+    (Grid(2, (1.0, 1.0), (127, 127)), 1.0, 0.2786419586700857),
+    (Grid(1, (1.0,), (799,)), 1.0, 0.3383912717843826),
+    (Grid(2, (1.0, 1.0), (127, 127)), 25.0, 0.20039009856885753),
+]
+
+
 @pytest.mark.parametrize(
-    "grid, expected",
-    [
-        (Grid(1, (1.0,), (199,)), 0.33839493841794804),
-        (Grid(2, (1.0, 1.0), (63, 63)), 0.27868208723539084),
-    ],
+    "grid, lam, expected",
+    _PINNED,
+    ids=[f"grid{i}-{expected!r}" for i, (_, _, expected) in enumerate(_PINNED)],
 )
-def test_s4_pinned_values(grid, expected):
-    # Lambda must not move when the estimator gets cheaper: these are the
-    # values of the pow-based ascent with the 1,000-probe white-noise guard
-    assert estimate_s4(grid, 1.0, seed=0) == pytest.approx(expected, rel=1e-12)
+def test_s4_pinned_values(grid, lam, expected):
+    # Lambda must not move when the estimator gets cheaper.  rel 1e-12, not
+    # equality: at 2D the last bits depend on the BLAS thread count
+    assert estimate_s4(grid, lam, seed=0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_smooth_probe_guard_can_fire(monkeypatch):
@@ -84,24 +94,51 @@ def test_smooth_probe_guard_can_fire(monkeypatch):
 
 
 def test_ascent_applies_the_stencil_only_on_accepted_steps(monkeypatch):
-    # a trial step is scalar arithmetic; with a stencil per trial, one
-    # estimate at 31^2 made 785 applications
+    # a trial step is scalar arithmetic, and only the eigenvector start is
+    # ascended; one estimate at 31^2 made 785 applications with a stencil
+    # per trial, and 209 with 8 more ascents from white noise
     calls = count_stencil_calls(monkeypatch)
     estimate_s4(Grid(2, (1.0, 1.0), (31, 31)), 1.0, seed=0)
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 40
 
 
-def test_ascent_runs_from_every_start(monkeypatch):
+def test_one_ascent_when_no_probe_fires(monkeypatch):
     starts = []
     ascend = threshold._ascend
 
     def counted(*args):
-        starts.append(1)
+        starts.append(args[2])
         return ascend(*args)
 
     monkeypatch.setattr(threshold, "_ascend", counted)
-    estimate_s4(Grid(1, (1.0,), (49,)), 1.0, seed=0)
-    assert len(starts) >= 9  # the eigenvector and 8 seeded random starts
+    g = Grid(1, (1.0,), (49,))
+    s4 = estimate_s4(g, 1.0, seed=0)
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], first_eigenvector(g).values)
+    assert s4 == ascend(g, 1.0, starts[0], 4000)[0]
+
+
+@pytest.mark.parametrize("lam", [0.1, 25.0])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (1.0,), (49,)),
+        Grid(1, (1.0,), (199,)),
+        Grid(2, (1.0, 1.0), (15, 15)),
+        Grid(2, (1.0, 1.0), (31, 31)),
+        Grid(2, (1.0, 2.0), (15, 31)),
+    ],
+)
+def test_white_noise_ascents_end_far_below_s4(grid, lam):
+    # why estimate_s4 ascends from no white-noise start: the best of 8 such
+    # ascents, drawn as restarts used to be, never comes near the estimate
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        noise = max(
+            threshold._ascend(grid, lam, rng.standard_normal(grid.size), 4000)[0]
+            for _ in range(8)
+        )
+        assert noise < 0.7 * estimate_s4(grid, lam, seed=seed), seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,8 +259,6 @@ def test_source_bound_under_smallness(rng):
 def test_source_bound_sharpness_past_threshold():
     # scale the sources up until the aligned direction violates the bound
     grid, params, s4, rep = build_problem(n=99, beta=1.0, rho=0.5)
-    from nehari.grid import first_eigenvector
-
     e = first_eigenvector(grid)
     aligned = Pair(e, e)
     unit = aligned.scaled(1.0 / math.sqrt(ray(aligned, params).norm_sq))
