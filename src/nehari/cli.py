@@ -6,7 +6,8 @@ autoscale target rho, and the coupling beta.  Exit codes are stable so
 scripts can branch on the failure class:
 
     0  success
-    2  config error (parse or validation)
+    2  config error (parse or validation), or a file that cannot be read
+       or written (a missing field or state CSV, say)
     3  source hypothesis not satisfied (smallness or zero source)
     4  solver failure (non-convergence, lost branch)
     5  verification failure
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from .grid import (
 )
 from .reports import SchemaError, dumps, load_schema, validate, write_json
 from .solver import (
+    CheckResult,
     SolveReport,
     SolverConfig,
     minimize_over_seeds,
@@ -59,12 +62,9 @@ class ConfigError(Exception):
 
 @dataclass
 class Problem:
-    grid: Grid
-    params: Params
-    solver_cfg: SolverConfig
-    seed: int
-    s4: float
-    threshold: ThresholdReport
+    params: Params  # its grid is params.grid
+    solver_cfg: SolverConfig  # its seed is the problem's seed
+    threshold: ThresholdReport  # its s4 is the problem's estimate
     branch_seeds: tuple[int, ...]
 
 
@@ -85,29 +85,16 @@ def load_config(path) -> dict:
     return cfg
 
 
+# the numbers each computed source kind needs
+_SOURCE_NUMBERS = {
+    "constant": ("value",),
+    "gaussian": ("center", "width", "amplitude"),
+    "eigen": ("amplitude",),
+}
+
+
 def _build_source(grid: Grid, spec: dict, where: str) -> Field:
     kind = spec.get("kind")
-    if kind == "constant":
-        if "value" not in spec:
-            raise ConfigError(f"{where}: constant source needs a 'value'")
-        return Field(grid, np.full(grid.size, float(spec["value"])))
-    if kind == "gaussian":
-        for key in ("center", "width", "amplitude"):
-            if key not in spec:
-                raise ConfigError(f"{where}: gaussian source needs '{key}'")
-        center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
-        if center.shape != (grid.dim,):
-            raise ConfigError(f"{where}: gaussian center must have {grid.dim} entries")
-        width = float(spec["width"])
-        if not width > 0:
-            raise ConfigError(f"{where}: gaussian width must be positive, got {width}")
-        coords = grid.node_coords()
-        r2 = sum((c - center[k]) ** 2 for k, c in enumerate(coords))
-        return Field(grid, float(spec["amplitude"]) * np.exp(-r2 / (2.0 * width**2)))
-    if kind == "eigen":
-        if "amplitude" not in spec:
-            raise ConfigError(f"{where}: eigen source needs an 'amplitude'")
-        return first_eigenvector(grid).scaled(float(spec["amplitude"]))
     if kind == "csv":
         if "path" not in spec:
             raise ConfigError(f"{where}: csv source needs a 'path'")
@@ -115,10 +102,30 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
             return field_from_csv(grid, spec["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(
-        f"{where}: unknown source kind {kind!r} "
-        "(expected constant, gaussian, eigen or csv)"
-    )
+    if kind not in _SOURCE_NUMBERS:
+        raise ConfigError(
+            f"{where}: unknown source kind {kind!r} (expected constant, gaussian, eigen or csv)"
+        )
+    num = {}
+    for key in _SOURCE_NUMBERS[kind]:
+        if key not in spec:
+            raise ConfigError(f"{where}: {kind} source needs '{key}'")
+        num[key] = np.asarray(spec[key], dtype=float)
+        if num[key].ndim and key != "center":
+            raise ConfigError(f"config error at {where}.{key}: must be a number, got {spec[key]}")
+        if not np.isfinite(num[key]).all():
+            raise ConfigError(f"config error at {where}.{key}: must be finite, got {spec[key]}")
+    if kind == "constant":
+        return Field(grid, np.full(grid.size, float(num["value"])))
+    if kind == "eigen":
+        return first_eigenvector(grid).scaled(float(num["amplitude"]))
+    center, width = np.atleast_1d(num["center"]), float(num["width"])
+    if center.shape != (grid.dim,):
+        raise ConfigError(f"{where}: gaussian center must have {grid.dim} entries")
+    if not width > 0:
+        raise ConfigError(f"{where}: gaussian width must be positive, got {width}")
+    r2 = sum((c - center[k]) ** 2 for k, c in enumerate(grid.node_coords()))
+    return Field(grid, float(num["amplitude"]) * np.exp(-r2 / (2.0 * width**2)))
 
 
 def _config_grid(cfg: dict) -> Grid:
@@ -194,8 +201,7 @@ def resolve_problem(
         scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
         params = replace(params, f=f.scaled(scale), g=g.scaled(scale))
 
-    report = compute_threshold(params, grid, s4)
-    return Problem(grid, params, solver_cfg, seed, s4, report, branch_seeds)
+    return Problem(params, solver_cfg, compute_threshold(params, grid, s4), branch_seeds)
 
 
 # --- report serialization ----------------------------------------------------
@@ -245,56 +251,46 @@ def _write_validated(obj: dict, schema_name: str, path) -> None:
 
 
 def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict]:
-    """Run both branches, verify, write all reports; returns (exit, summary)."""
+    """Run both branches, verify, write all reports; returns (exit, reports).
+
+    reports maps ground_state and bound_state to their SolveReports; it is
+    empty when the run stops before both branches are solved.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    summary: dict = {
-        "satisfied": problem.threshold.satisfied,
-        "lambda_threshold": problem.threshold.lambda_threshold,
-        "theta_plus": math.nan,
-        "theta_minus": math.nan,
-        "converged_plus": False,
-        "converged_minus": False,
-        "positive_plus": (False, False),
-        "positive_minus": (False, False),
-    }
-    _write_validated(
-        asdict(problem.threshold),
-        "threshold_report",
-        os.path.join(out_dir, "threshold.json"),
-    )
-    if problem.threshold.degenerate_sources:
+    threshold = problem.threshold
+    _write_validated(asdict(threshold), "threshold_report", os.path.join(out_dir, "threshold.json"))
+    if threshold.degenerate_sources:
         print(
             "error: the two-solution statement assumes both source terms are "
             "nonzero; at least one of f, g is identically zero",
             file=sys.stderr,
         )
-        return EXIT_THRESHOLD, summary
-    if not problem.threshold.satisfied and not force:
+        return EXIT_THRESHOLD, {}
+    if not threshold.satisfied and not force:
         print(
             f"error: max(|f|_4/3, |g|_4/3) = "
-            f"{max(problem.threshold.f_norm, problem.threshold.g_norm):.6g} is not "
-            f"below the threshold {problem.threshold.lambda_threshold:.6g}; "
+            f"{max(threshold.f_norm, threshold.g_norm):.6g} is not "
+            f"below the threshold {threshold.lambda_threshold:.6g}; "
             "pass --force to solve anyway",
             file=sys.stderr,
         )
-        return EXIT_THRESHOLD, summary
+        return EXIT_THRESHOLD, {}
 
-    params = problem.params
+    params, solver_cfg = problem.params, problem.solver_cfg
     nonneg = params.f.values.min() >= 0 and params.g.values.min() >= 0
     reports: dict[str, SolveReport] = {}
-    checks: dict[str, list] = {}
+    checks: dict[str, list[CheckResult]] = {}
     for branch, stem in ((N_PLUS, "ground_state"), (N_MINUS, "bound_state")):
         try:
             rep, disagree = minimize_over_seeds(
-                branch, params, problem.grid, problem.solver_cfg,
-                seeds=problem.branch_seeds,
+                branch, params, params.grid, solver_cfg, seeds=problem.branch_seeds
             )
             if nonneg and rep.converged:
                 rep = positivity_rescale(rep, params)
         except RuntimeError as exc:
             # BranchVanished, SemiTrivialCollapse, or a rescale that raised the energy
             print(f"error: {branch} solve failed: {exc}", file=sys.stderr)
-            return EXIT_SOLVER, summary
+            return EXIT_SOLVER, {}
         reports[stem] = rep
         pair_to_csv(rep.state, os.path.join(out_dir, f"{stem}.csv"))
         _write_validated(
@@ -302,54 +298,33 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
             "solve_report",
             os.path.join(out_dir, f"{stem}.json"),
         )
-        checks[stem] = verify_solution(rep, params, s4=problem.s4, seed=problem.seed)
+        checks[stem] = verify_solution(rep, params, s4=threshold.s4, seed=solver_cfg.seed)
 
     plus, minus = reports["ground_state"], reports["bound_state"]
-    cross = [
-        {
-            "name": "theta_plus_negative",
-            "passed": plus.theta < 0.0,
-            "detail": f"theta+ = {plus.theta:.6g}",
-        },
-        {
-            "name": "theta_order",
-            "passed": plus.theta < minus.theta,
-            "detail": f"theta+ = {plus.theta:.6g} < theta- = {minus.theta:.6g}",
-        },
+    checks["cross"] = [
+        CheckResult("theta_plus_negative", plus.theta < 0.0, f"theta+ = {plus.theta:.6g}"),
+        CheckResult(
+            "theta_order",
+            plus.theta < minus.theta,
+            f"theta+ = {plus.theta:.6g} < theta- = {minus.theta:.6g}",
+        ),
     ]
-    all_passed = (
-        all(c.passed for cs in checks.values() for c in cs)
-        and all(c["passed"] for c in cross)
-    )
-    _write_validated(
-        {
-            "ground_state": [asdict(c) for c in checks["ground_state"]],
-            "bound_state": [asdict(c) for c in checks["bound_state"]],
-            "cross": cross,
-            "all_passed": all_passed,
-        },
-        "checks",
-        os.path.join(out_dir, "checks.json"),
-    )
+    # the cross checks are named without a prefix
+    failed = [
+        c.name if part == "cross" else f"{part}:{c.name}"
+        for part, cs in checks.items() for c in cs if not c.passed
+    ]
+    doc = {part: [asdict(c) for c in cs] for part, cs in checks.items()}
+    doc["all_passed"] = not failed
+    _write_validated(doc, "checks", os.path.join(out_dir, "checks.json"))
 
-    summary.update(
-        theta_plus=plus.theta,
-        theta_minus=minus.theta,
-        converged_plus=plus.converged,
-        converged_minus=minus.converged,
-        positive_plus=plus.positive,
-        positive_minus=minus.positive,
-    )
     if not (plus.converged and minus.converged):
         print("error: solver did not converge on both branches", file=sys.stderr)
-        return EXIT_SOLVER, summary
-    if not all_passed:
-        failed = [
-            f"{stem}:{c.name}" for stem, cs in checks.items() for c in cs if not c.passed
-        ] + [c["name"] for c in cross if not c["passed"]]
+        return EXIT_SOLVER, reports
+    if failed:
         print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_VERIFY, summary
-    return EXIT_OK, summary
+        return EXIT_VERIFY, reports
+    return EXIT_OK, reports
 
 
 # --- subcommands --------------------------------------------------------------
@@ -364,13 +339,11 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
-    code, _ = run_solve(problem, out_dir, force=args.force)
-    return code
+    return run_solve(problem, out_dir, force=args.force)[0]
 
 
 def cmd_threshold(args) -> int:
-    problem = _resolve(args, load_config(args.config))
-    doc = asdict(problem.threshold)
+    doc = asdict(_resolve(args, load_config(args.config)).threshold)
     validate(doc, load_schema("threshold_report"))
     sys.stdout.write(dumps(doc))
     if args.out:
@@ -380,17 +353,16 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fibering(args) -> int:
-    problem = _resolve(args, load_config(args.config))
-    grid, params = problem.grid, problem.params
+    params = _resolve(args, load_config(args.config)).params
     if args.direction == "sources":
         direction = Pair(params.f, params.g)
     elif args.direction == "eigen":
-        e = first_eigenvector(grid)
+        e = first_eigenvector(params.grid)
         direction = Pair(e, e)
     else:
         if not (args.u and args.v):
             raise ConfigError("csv direction needs --u and --v field files")
-        direction = Pair(field_from_csv(grid, args.u), field_from_csv(grid, args.v))
+        direction = Pair(field_from_csv(params.grid, args.u), field_from_csv(params.grid, args.v))
     try:
         ana = analyze_direction(direction, params)
     except ValueError as exc:
@@ -403,6 +375,24 @@ def cmd_fibering(args) -> int:
 
 def _sweep_slug(parameter: str, value: float) -> str:
     return f"sweep_{parameter}_{format(value, '.17g')}"
+
+
+def _sweep_row(value: float, threshold: ThresholdReport, reports: dict) -> str:
+    """One sweep.csv line; a value without both reports keeps nan thetas and false flags."""
+    if reports:
+        plus, minus = reports["ground_state"], reports["bound_state"]
+        thetas = (plus.theta, minus.theta)
+        flags = (plus.converged, minus.converged, *plus.positive, *minus.positive)
+    else:
+        thetas, flags = (math.nan, math.nan), (False,) * 6
+    fmt = "%.17g"
+    row = [
+        fmt % value,
+        str(bool(threshold.satisfied)).lower(),
+        *(fmt % x for x in (threshold.lambda_threshold, *thetas)),
+        *(str(bool(b)).lower() for b in flags),
+    ]
+    return ",".join(row) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -419,61 +409,51 @@ def cmd_sweep(args) -> int:
     overrides = {"seed": args.seed, "rho": args.rho, "beta": args.beta, "force": args.force}
     problems = []
     for v in values:
-        s4 = problems[0].s4 if problems else None
+        s4 = problems[0].threshold.s4 if problems else None
         problems.append(resolve_problem(cfg, **{**overrides, args.parameter: v}, s4=s4))
 
     out_dir = args.out or cfg.get("output_dir", "out")
     out_dirs = [os.path.join(out_dir, _sweep_slug(args.parameter, v)) for v in values]
     forces = [args.force] * len(values)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_solve, problems, out_dirs, forces))
-    else:
-        results = list(map(run_solve, problems, out_dirs, forces))
+    # each row is built as its value's result arrives, so no report outlives it
+    codes, rows = [], []
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(run_solve, problems, out_dirs, forces)
+        for value, problem, (code, reports) in zip(values, problems, results):
+            codes.append(code)
+            rows.append(_sweep_row(value, problem.threshold, reports))
 
-    fmt = "%.17g"
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(
             "value,satisfied,lambda_threshold,theta_plus,theta_minus,"
             "converged_plus,converged_minus,positive_plus_u,positive_plus_v,"
             "positive_minus_u,positive_minus_v\n"
         )
-        for value, (_code, s) in zip(values, results):
-            flags = (s["converged_plus"], s["converged_minus"], *s["positive_plus"],
-                     *s["positive_minus"])
-            row = [
-                fmt % value,
-                str(bool(s["satisfied"])).lower(),
-                *(fmt % s[k] for k in ("lambda_threshold", "theta_plus", "theta_minus")),
-                *(str(bool(b)).lower() for b in flags),
-            ]
-            fh.write(",".join(row) + "\n")
-    return max(code for code, _s in results)
+        fh.writelines(rows)
+    return max(codes)
 
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
+    stems = [s for s in ("ground_state", "bound_state")
+             if os.path.exists(os.path.join(out_dir, f"{s}.json"))]
+    if not stems:
+        raise ConfigError(f"no saved solve reports under {out_dir}")
     all_ok = True
-    found = False
-    for stem in ("ground_state", "bound_state"):
-        jpath = os.path.join(out_dir, f"{stem}.json")
-        if not os.path.exists(jpath):
-            continue
-        found = True
-        with open(jpath, "r", encoding="utf-8") as fh:
+    for stem in stems:
+        with open(os.path.join(out_dir, f"{stem}.json"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         validate(doc, load_schema("solve_report"))
-        state = pair_from_csv(problem.grid, os.path.join(out_dir, doc["state_csv"]))
+        state = pair_from_csv(problem.params.grid, os.path.join(out_dir, doc["state_csv"]))
         rep = solve_report_from_dict(doc, state)
-        checks = verify_solution(rep, problem.params, s4=problem.s4, seed=problem.seed)
+        checks = verify_solution(
+            rep, problem.params, s4=problem.threshold.s4, seed=problem.solver_cfg.seed
+        )
         for c in checks:
-            mark = "pass" if c.passed else "FAIL"
-            print(f"{stem} {c.name}: {mark} ({c.detail})")
+            print(f"{stem} {c.name}: {'pass' if c.passed else 'FAIL'} ({c.detail})")
         all_ok = all_ok and all(c.passed for c in checks)
-    if not found:
-        raise ConfigError(f"no saved solve reports under {out_dir}")
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -484,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="problem config JSON")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -495,17 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="continue past an unsatisfied smallness threshold",
         )
+        return p
 
-    p = sub.add_parser("solve", help="solve both branches and verify")
-    common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("threshold", help="print the smallness threshold report")
-    common(p)
-    p.set_defaults(fn=cmd_threshold)
-
-    p = sub.add_parser("fibering", help="print the fibering analysis of a direction")
-    common(p)
+    command("solve", cmd_solve, "solve both branches and verify")
+    command("threshold", cmd_threshold, "print the smallness threshold report")
+    p = command("fibering", cmd_fibering, "print the fibering analysis of a direction")
     p.add_argument(
         "--direction",
         choices=("sources", "eigen", "csv"),
@@ -514,19 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--u", default=None, help="u component CSV (csv direction)")
     p.add_argument("--v", default=None, help="v component CSV (csv direction)")
-    p.set_defaults(fn=cmd_fibering)
-
-    p = sub.add_parser("sweep", help="solve across a list of parameter values")
-    common(p)
+    p = command("sweep", cmd_sweep, "solve across a list of parameter values")
     p.add_argument("--parameter", choices=("beta", "rho"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("check", help="re-verify saved solve outputs")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
+    command("check", cmd_check, "re-verify saved solve outputs")
     return parser
 
 
@@ -534,7 +502,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -52,19 +52,13 @@ _TYPES = {
 
 def _check(obj, schema, path, errors):
     typ = schema.get("type")
-    if typ is not None:
-        allowed = typ if isinstance(typ, list) else [typ]
-        ok = False
-        for name in allowed:
-            pytype = _TYPES[name]
-            if isinstance(obj, pytype) and not (
-                name in ("integer", "number") and isinstance(obj, bool)
-            ):
-                ok = True
-                break
-        if not ok:
-            errors.append(f"{path}: expected {typ}, got {type(obj).__name__}")
-            return
+    allowed = [] if typ is None else typ if isinstance(typ, list) else [typ]
+    if allowed and not any(  # a bool is not a number
+        isinstance(obj, _TYPES[name]) and not (isinstance(obj, bool) and name != "boolean")
+        for name in allowed
+    ):
+        errors.append(f"{path}: expected {typ}, got {type(obj).__name__}")
+        return
     if "enum" in schema and obj not in schema["enum"]:
         errors.append(f"{path}: {obj!r} not in {schema['enum']}")
     if isinstance(obj, dict):

@@ -138,7 +138,8 @@ def _shift_solve(grid: Grid, lam: float):
     fill in natural order, and one-column panels, as it has no supernodes.
     """
     n, h = grid.points[-1], grid.spacing[-1]
-    basis, shift = sine_modes(grid, 0) if grid.dim == 2 else (None, np.zeros(1))
+    # 1D has no leading axis: its basis is the 1x1 identity, with no shift
+    basis, shift = sine_modes(grid, 0) if grid.dim == 2 else (np.eye(1), np.zeros(1))
     main = np.repeat(shift + lam + 2.0 / h**2, n)
     off = np.where(np.arange(1, main.size) % n, -1.0 / h**2, 0.0)  # lines do not couple
     lines = sp.diags([off, main, off], [-1, 0, 1], format="csc")
@@ -148,7 +149,7 @@ def _shift_solve(grid: Grid, lam: float):
         modes = lu.solve((basis @ r.reshape(len(basis), -1)).reshape(r.shape))
         return (basis @ modes.reshape(len(basis), -1)).reshape(r.shape)
 
-    return lu.solve if basis is None else solve  # 1D has no leading axis
+    return solve
 
 
 # one factor pair per problem, shared by both branches, every seed and the

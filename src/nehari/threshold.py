@@ -115,6 +115,7 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[
     return _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam)), hit_cap
 
 
+_MAX_ASCENT_ITERS = 4000  # the iteration cap of one ascent
 _PROBE_MODES = 4
 _PROBES = 16
 
@@ -142,7 +143,7 @@ def _smooth_probes(grid: Grid, rng: np.random.Generator):
             yield (tables[0].T @ coeffs @ tables[1]).ravel()
 
 
-def estimate_s4(grid: Grid, lam: float, seed: int = 0, max_iters: int = 4000) -> float:
+def estimate_s4(grid: Grid, lam: float, seed: int = 0) -> float:
     """Estimate of the best constant in |w|_4 <= s4 * |w|_{H,lam}.
 
     The ascent runs from the first eigenvector of -lap.  A guard then draws
@@ -158,12 +159,12 @@ def estimate_s4(grid: Grid, lam: float, seed: int = 0, max_iters: int = 4000) ->
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    best, capped = _ascend(grid, lam, first_eigenvector(grid).values, max_iters)
+    best, capped = _ascend(grid, lam, first_eigenvector(grid).values, _MAX_ASCENT_ITERS)
     vol = grid.cell_volume
     for w in _smooth_probes(grid, np.random.default_rng(seed)):
         ratio = _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam))
         if ratio > best:
-            val, hit_cap = _ascend(grid, lam, w, max_iters)
+            val, hit_cap = _ascend(grid, lam, w, _MAX_ASCENT_ITERS)
             capped = capped or hit_cap
             best = max(best, val, ratio)
     if capped:

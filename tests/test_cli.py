@@ -335,6 +335,29 @@ def test_sweep_jobs_write_the_same_bytes(config, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_row_of_a_failing_value_keeps_nan_and_false(tmp_path, jobs):
+    # no autoscale: beta = 40 shrinks Lambda below the source norms, so that value exits 3
+    eigen = {"kind": "eigen", "amplitude": 3.0}
+    cfg = write_config(tmp_path / "c.json", sources={"f": eigen, "g": eigen})
+    out = tmp_path / "sw"
+    assert main(
+        ["sweep", "--config", str(cfg), "--out", str(out), "--parameter", "beta",
+         "--values", "0.5,40", "--jobs", jobs]
+    ) == EXIT_THRESHOLD
+    ok, bad = out / "sweep_beta_0.5", out / "sweep_beta_40"
+    assert not (bad / "ground_state.json").exists()
+    lam_ok, lam_bad = (read_json(d / "threshold.json")["lambda_threshold"] for d in (ok, bad))
+    plus, minus = (read_json(ok / f"{s}.json")["theta"] for s in ("ground_state", "bound_state"))
+    assert (out / "sweep.csv").read_text() == (
+        "value,satisfied,lambda_threshold,theta_plus,theta_minus,"
+        "converged_plus,converged_minus,positive_plus_u,positive_plus_v,"
+        "positive_minus_u,positive_minus_v\n"
+        f"0.5,true,{lam_ok:.17g},{plus:.17g},{minus:.17g},true,true,true,true,true,true\n"
+        f"40,false,{lam_bad:.17g},nan,nan,false,false,false,false,false,false\n"
+    )
+
+
 def test_branch_seeds_config(tmp_path):
     cfg = write_config(tmp_path / "seeds.json", branch_seeds=[0, 1])
     out = str(tmp_path / "o")
@@ -654,3 +677,49 @@ def test_non_finite_config_numbers_are_config_errors(
     assert key in capsys.readouterr().err
     assert calls == [] and not out.exists()
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "g, key",
+    [
+        ({"kind": "constant", "value": math.inf}, "value"),
+        ({"kind": "gaussian", "center": [math.inf], "width": 0.1, "amplitude": 1.0}, "center"),
+        ({"kind": "gaussian", "center": [0.5], "width": math.inf, "amplitude": 1.0}, "width"),
+        ({"kind": "gaussian", "center": [0.5], "width": 0.1, "amplitude": math.nan}, "amplitude"),
+        ({"kind": "eigen", "amplitude": -math.inf}, "amplitude"),
+        ({"kind": "constant", "value": [1.0, 2.0]}, "value"),
+    ],
+    ids=["constant-value", "gaussian-center", "gaussian-width", "gaussian-amplitude",
+         "eigen-amplitude", "constant-value-list"],
+)
+@pytest.mark.parametrize("command", ["solve", "threshold"])
+def test_bad_source_numbers_are_config_errors(
+    tmp_path, monkeypatch, capsys, command, g, key
+):
+    # json.dump writes Infinity and NaN, which Python's json reads back; a list
+    # where one number belongs ended in a TypeError traceback
+    f = {"kind": "eigen", "amplitude": 1.0}
+    cfg = write_config(tmp_path / "c.json", sources={"f": f, "g": g})
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"sources.g.{key}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_missing_direction_file_is_exit_2(config, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    argv = ["fibering", "--config", config, "--direction", "csv", "--u", missing, "--v", missing]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.csv" in err
+
+
+def test_check_with_a_deleted_state_file_is_exit_2(config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
+    (out / "bound_state.csv").unlink()
+    capsys.readouterr()
+    assert main(["check", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bound_state.csv" in err

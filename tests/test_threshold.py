@@ -57,10 +57,11 @@ def test_s4_deterministic():
     assert estimate_s4(g, 1.0, seed=0) == estimate_s4(g, 1.0, seed=0)
 
 
-def test_s4_warns_on_iteration_cap():
+def test_s4_warns_on_iteration_cap(monkeypatch):
     g = Grid(1, (1.0,), (49,))
+    monkeypatch.setattr(threshold, "_MAX_ASCENT_ITERS", 2)
     with pytest.warns(RuntimeWarning):
-        val = estimate_s4(g, 1.0, seed=0, max_iters=2)
+        val = estimate_s4(g, 1.0, seed=0)
     assert val > 0.0  # best-so-far is still returned
 
 
