@@ -94,7 +94,8 @@ _SOURCE_NUMBERS = {
 
 
 def _build_source(grid: Grid, spec: dict, where: str) -> Field:
-    kind = spec.get("kind")
+    # the schema gives each key its type and kind its four values
+    kind = spec["kind"]
     if kind == "csv":
         if "path" not in spec:
             raise ConfigError(f"{where}: csv source needs a 'path'")
@@ -102,17 +103,11 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
             return field_from_csv(grid, spec["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    if kind not in _SOURCE_NUMBERS:
-        raise ConfigError(
-            f"{where}: unknown source kind {kind!r} (expected constant, gaussian, eigen or csv)"
-        )
     num = {}
     for key in _SOURCE_NUMBERS[kind]:
         if key not in spec:
             raise ConfigError(f"{where}: {kind} source needs '{key}'")
         num[key] = np.asarray(spec[key], dtype=float)
-        if num[key].ndim and key != "center":
-            raise ConfigError(f"config error at {where}.{key}: must be a number, got {spec[key]}")
         if not np.isfinite(num[key]).all():
             raise ConfigError(f"config error at {where}.{key}: must be finite, got {spec[key]}")
     if kind == "constant":
@@ -193,6 +188,9 @@ def resolve_problem(
     branch_seeds = tuple(int(s) for s in cfg.get("branch_seeds", [seed]))
     if not branch_seeds:
         raise ConfigError("config error at branch_seeds: need at least one seed")
+    for key, seeds in (("seed", (seed,)), ("branch_seeds", branch_seeds)):
+        if min(seeds) < 0:
+            raise ConfigError(f"config error at {key}: seeds must not be negative, got {min(seeds)}")
 
     # every config rule is checked above, so a config error never pays for this
     if s4 is None:

@@ -17,10 +17,12 @@ local minima of phi (class N+), roots right of it are local maxima (class
 N-).  The count and the classes are invariant under rescaling the ray
 direction.
 
-Roots are found by bracketed bisection with a safeguarded Newton polish.
-Closed-form cubic formulas are deliberately avoided: they cancel
-catastrophically near the tangency B ~ psi_max, while the brackets
-[0, t_turn] and [t_turn, T] are guaranteed by the concavity of psi.
+Each root is found by Newton's method started from the end of its bracket
+on the far side of it: t = 0 for the N+ root, and for the N- root a scale-free
+T = sqrt(2 norm_sq/A) + (2|B|/A)^(1/3) with q(T) <= 0.  Since q is concave,
+the iterates approach the root monotonically from that side, so no bracket
+has to be kept.  Closed-form cubic formulas are deliberately avoided: they
+cancel catastrophically near the tangency B ~ psi_max.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ N_MINUS = "N-"
 # treated as an exact tangency: the two roots are closer than root-separation
 # resolution allows.
 _TANGENT_WINDOW = 1e-12
+
+# Newton from either bracket end needs a few dozen steps at most, even for B
+# just outside the tangency window, where the two roots nearly merge.
+_MAX_NEWTON_ITERS = 100
 
 
 class Root(NamedTuple):
@@ -92,45 +98,20 @@ def _q(norm_sq, a, b, t):
     return norm_sq * t - a * t * t * t - b
 
 
-def _bracketed_root(norm_sq, a, b, lo, hi) -> float:
-    """Root of q on [lo, hi]; q must change sign across the bracket.
+def _newton_root(norm_sq, a, b, t) -> float:
+    """The root of q that Newton's method reaches from a start t with q(t) <= 0.
 
-    Bisection narrows the bracket, a Newton step is taken whenever it lands
-    strictly inside, and iteration stops once the bracket is a few ulps wide.
+    q is concave, so its tangent lies above it: from such a start every
+    Newton iterate stays on the start's side of the nearest root and moves
+    toward it.  The loop stops once a step no longer moves t that way.
     """
-    qlo = _q(norm_sq, a, b, lo)
-    qhi = _q(norm_sq, a, b, hi)
-    if qlo == 0.0:
-        return lo
-    if qhi == 0.0:
-        return hi
-    if (qlo > 0.0) == (qhi > 0.0):
-        raise ValueError("root bracket does not change sign")
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(_MAX_NEWTON_ITERS):
         q = _q(norm_sq, a, b, t)
-        if q == 0.0:
-            return t
-        if (q > 0.0) == (qlo > 0.0):
-            lo, qlo = t, q
-        else:
-            hi = t
-        if hi - lo <= 4.0 * math.ulp(hi):
+        t_next = t - q / (norm_sq - 3.0 * a * t * t)
+        if not q < 0.0 or t_next == t:
             break
-        dq = norm_sq - 3.0 * a * t * t
-        tn = t - q / dq if dq != 0.0 else 0.5 * (lo + hi)
-        if not (lo < tn < hi):
-            tn = 0.5 * (lo + hi)
-        if tn == t:
-            break
-        t = tn
-    # keep whichever bracket end (or t) evaluates smallest in magnitude
-    best, qbest = t, abs(_q(norm_sq, a, b, t))
-    for cand in (lo, hi):
-        qc = abs(_q(norm_sq, a, b, cand))
-        if qc < qbest:
-            best, qbest = cand, qc
-    return best
+        t = t_next
+    return t
 
 
 def analyze(norm_sq: float, quartic: float, source: float) -> FiberingAnalysis:
@@ -142,17 +123,18 @@ def analyze(norm_sq: float, quartic: float, source: float) -> FiberingAnalysis:
     t_turn = math.sqrt(norm_sq / (3.0 * quartic))
     psi_max = (2.0 / 3.0) * norm_sq * t_turn
     window = _TANGENT_WINDOW * norm_sq**1.5 / math.sqrt(quartic)
-    upper = math.sqrt(norm_sq / quartic) + (abs(source) / quartic) ** (1.0 / 3.0) + 1.0
+    # A*upper^3 >= 2*norm_sq*upper and >= 2|B|, so q(upper) <= 0 for any B
+    upper = math.sqrt(2.0 * norm_sq / quartic) + (2.0 * abs(source) / quartic) ** (1.0 / 3.0)
 
     if abs(source - psi_max) <= window:
         roots = (Root(t_turn, N_ZERO),)
     elif source > psi_max:
         roots = ()
     elif source <= 0.0:
-        roots = (Root(_bracketed_root(norm_sq, quartic, source, t_turn, upper), N_MINUS),)
+        roots = (Root(_newton_root(norm_sq, quartic, source, upper), N_MINUS),)
     else:
-        t1 = _bracketed_root(norm_sq, quartic, source, 0.0, t_turn)
-        t2 = _bracketed_root(norm_sq, quartic, source, t_turn, upper)
+        t1 = _newton_root(norm_sq, quartic, source, 0.0)
+        t2 = _newton_root(norm_sq, quartic, source, upper)
         roots = (Root(t1, N_PLUS), Root(t2, N_MINUS))
     return FiberingAnalysis(norm_sq, quartic, source, t_turn, psi_max, roots)
 

@@ -113,8 +113,6 @@ class SolveReport:
     norm_min: float  # min ||iterate|| over the run (the m of the norm bounds)
     norm_max: float  # max ||iterate|| over the run (the M)
     tau_bound: float | None  # N- only: norm_sq/sqrt(3A), the origin gap
-    grad_tol: float
-    nehari_tol: float
     noise_injected: bool
     config: SolverConfig
     energy_history: tuple[float, ...] = field(default=(), repr=False)
@@ -375,8 +373,6 @@ def _build_report(
         norm_min=float(min(hist_norm)),
         norm_max=float(max(hist_norm)),
         tau_bound=rd.origin_gap if branch == N_MINUS else None,
-        grad_tol=cfg.grad_tol,
-        nehari_tol=cfg.nehari_tol,
         noise_injected=noise_injected,
         config=cfg,
         energy_history=hist_j,
@@ -435,7 +431,7 @@ def positivity_rescale(report: SolveReport, params: Params) -> SolveReport:
         Field(grid, np.abs(report.state.v.values)),
     )
     new = minimize(report.branch, params, grid, report.config, init=abs_pair)
-    if new.theta > report.theta + report.nehari_tol:
+    if new.theta > report.theta + report.config.nehari_tol:
         raise RuntimeError(
             f"positivity rescale raised the energy: {new.theta!r} vs "
             f"{report.theta!r}; this contradicts the absolute-value comparison"
@@ -495,10 +491,11 @@ def verify_solution(
         f"component norms ({nu:.6g}, {nv:.6g}) vs pair norm {norm:.6g}",
     )
 
+    cfg = report.config
     add(
         "on_manifold",
-        rd.nehari_residual <= report.nehari_tol,
-        f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {report.nehari_tol:.1e})",
+        rd.nehari_residual <= cfg.nehari_tol,
+        f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {cfg.nehari_tol:.1e})",
     )
 
     add(
@@ -509,8 +506,8 @@ def verify_solution(
 
     add(
         "gradient_norm",
-        (not report.converged) or rd.grad_norm <= report.grad_tol,
-        f"max nodal gradient {rd.grad_norm:.3e} (tol {report.grad_tol:.1e})",
+        (not report.converged) or rd.grad_norm <= cfg.grad_tol,
+        f"max nodal gradient {rd.grad_norm:.3e} (tol {cfg.grad_tol:.1e})",
     )
 
     add(

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -584,8 +586,7 @@ def solve_reports(draw):
         pde_scale=draw(_FINITE), positive=(draw(st.booleans()), draw(st.booleans())),
         iterations=draw(st.integers(0, 10**9)), converged=draw(st.booleans()),
         norm_min=draw(_FINITE), norm_max=draw(_FINITE),
-        tau_bound=draw(st.none() | _FINITE), grad_tol=draw(_POSITIVE),
-        nehari_tol=draw(_POSITIVE), noise_injected=draw(st.booleans()), config=config,
+        tau_bound=draw(st.none() | _FINITE), noise_injected=draw(st.booleans()), config=config,
     )
 
 
@@ -688,9 +689,17 @@ def test_non_finite_config_numbers_are_config_errors(
         ({"kind": "gaussian", "center": [0.5], "width": 0.1, "amplitude": math.nan}, "amplitude"),
         ({"kind": "eigen", "amplitude": -math.inf}, "amplitude"),
         ({"kind": "constant", "value": [1.0, 2.0]}, "value"),
+        ({"kind": "csv", "path": 0}, "path"),
+        ({"kind": "csv", "path": None}, "path"),
+        ({"kind": ["eigen"], "amplitude": 1.0}, "kind"),
+        ({"kind": "gaussian", "center": [0.5], "width": {}, "amplitude": 1.0}, "width"),
+        ({"kind": "gaussian", "center": [0.5], "width": "abc", "amplitude": 1.0}, "width"),
+        ({"kind": "eigen", "amplitude": True}, "amplitude"),
     ],
     ids=["constant-value", "gaussian-center", "gaussian-width", "gaussian-amplitude",
-         "eigen-amplitude", "constant-value-list"],
+         "eigen-amplitude", "constant-value-list", "csv-path-int", "csv-path-null",
+         "eigen-kind-list", "gaussian-width-object", "gaussian-width-string",
+         "eigen-amplitude-bool"],
 )
 @pytest.mark.parametrize("command", ["solve", "threshold"])
 def test_bad_source_numbers_are_config_errors(
@@ -702,8 +711,36 @@ def test_bad_source_numbers_are_config_errors(
     cfg = write_config(tmp_path / "c.json", sources={"f": f, "g": g})
     calls = count_s4_estimates(monkeypatch)
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert f"sources.g.{key}" in capsys.readouterr().err
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if g.get("path") == 0:
+        # an integer path is a file descriptor: 0 would read the CSV from
+        # stdin, so this case runs in a subprocess on an empty stdin
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nehari.cli", *argv], stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"sources.g.{key}" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, flags, key",
+    [({"seed": -1}, [], "seed"), ({}, ["--seed", "-5"], "seed"),
+     ({"branch_seeds": [0, -3]}, [], "branch_seeds")],
+    ids=["config-seed", "flag-seed", "branch-seeds"],
+)
+def test_negative_seeds_are_config_errors(tmp_path, monkeypatch, capsys, edit, flags, key):
+    cfg = write_config(tmp_path / "c.json", **edit)
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CONFIG
+    assert f"config error at {key}:" in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 

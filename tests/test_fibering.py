@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nehari.fibering import (
@@ -274,3 +274,27 @@ def test_retract_error_carries_ray_data(grid_1d, zero_params, rng):
     assert err.norm_sq == pytest.approx(ray(p, zero_params).norm_sq, rel=1e-14)
     with pytest.raises(ValueError):
         retract(p, zero_params, "N0")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    log_norm_sq=st.floats(-20.0, 20.0),
+    log_t_scale=st.floats(-60.0, 40.0),  # log10 sqrt(norm_sq/A)
+    b_ratio=st.floats(-2.0, 0.999, exclude_max=True),  # B/psi_max
+)
+def test_roots_accurate_and_classified_at_every_scale(log_norm_sq, log_t_scale, b_ratio):
+    norm_sq = 10.0**log_norm_sq
+    a = norm_sq / 10.0 ** (2.0 * log_t_scale)
+    psi_max = (2.0 / 3.0) * norm_sq * math.sqrt(norm_sq / (3.0 * a))
+    b = b_ratio * psi_max
+    assume(abs(b - psi_max) > 2.0 * _TANGENT_WINDOW * norm_sq**1.5 / math.sqrt(a))
+    ana = analyze(norm_sq, a, b)
+    assert ana.roots
+    for root in ana.roots:
+        t = root.t
+        q = norm_sq * t - a * t**3 - b
+        assert abs(q) <= 1e-12 * (norm_sq * t + a * t**3 + abs(b))
+        if root.branch == N_PLUS:
+            assert t < ana.t_turn
+        else:
+            assert root.branch == N_MINUS and t > ana.t_turn

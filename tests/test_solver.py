@@ -63,8 +63,8 @@ def test_both_branches_converge(solved):
     _grid, params, _s4, plus, minus = solved
     for rep in (plus, minus):
         assert rep.converged
-        assert rep.grad_norm <= rep.grad_tol
-        assert rep.nehari_residual <= rep.nehari_tol
+        assert rep.grad_norm <= rep.config.grad_tol
+        assert rep.nehari_residual <= rep.config.nehari_tol
         assert rep.pde_residual <= 1e-6 * rep.pde_scale
     assert plus.classification_value > 0.0
     assert minus.classification_value < 0.0
@@ -122,7 +122,7 @@ def test_bound_state_stays_away_from_origin(solved):
 def test_converged_gradient_below_tolerance(solved):
     grid, params, _s4, plus, _minus = solved
     g = gradient(plus.state, params)
-    assert max(np.abs(g.u.values).max(), np.abs(g.v.values).max()) <= plus.grad_tol
+    assert max(np.abs(g.u.values).max(), np.abs(g.v.values).max()) <= plus.config.grad_tol
 
 
 def test_minimality_against_random_retractions(solved, rng):
@@ -138,7 +138,7 @@ def test_minimality_against_random_retractions(solved, rng):
 def test_positivity_rescale_fixed_point(solved):
     _grid, params, _s4, plus, _minus = solved
     again = positivity_rescale(plus, params)
-    assert again.theta <= plus.theta + plus.nehari_tol
+    assert again.theta <= plus.theta + plus.config.nehari_tol
     assert again.positive == (True, True)
     gap = np.abs(again.state.u.values - plus.state.u.values).max()
     assert gap <= 1e-6 * np.abs(plus.state.u.values).max()
@@ -153,7 +153,7 @@ def test_positivity_rescale_flipped_component(small_problem):
     rep = minimize(N_MINUS, params, grid, init=start)
     out = positivity_rescale(rep, params)
     assert out.positive == (True, True)
-    assert out.theta <= rep.theta + rep.nehari_tol
+    assert out.theta <= rep.theta + rep.config.nehari_tol
 
 
 def test_positivity_rescale_requires_nonnegative_sources(solved, grid_1d):
