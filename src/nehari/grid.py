@@ -11,6 +11,7 @@ analysis relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -231,7 +232,9 @@ def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:
 # --- CSV serialization -----------------------------------------------------
 #
 # One row per interior node, row-major: integer index per axis, coordinate per
-# axis, then one column per field.  Header row included.
+# axis, then one column per field, each float as %.17g.  Header row included.
+# Index and coordinate cells are formatted once per grid and axis and passed as
+# %s arguments; per node the writer formats only the value columns.
 
 _FMT = "%.17g"
 _CSV_CHUNK = 4096
@@ -243,16 +246,31 @@ def _csv_header(grid: Grid, value_cols: tuple[str, ...]) -> str:
     return ",".join(idx + xyz + value_cols)
 
 
+@functools.lru_cache(maxsize=8)
+def _axis_cells(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Read-only text cells: each axis's "i," index cells, then each axis's "x," coordinates."""
+    cells = [["%d," % i for i in range(n)] for n in grid.points]
+    cells += [[_FMT % x + "," for x in grid.axis_coords(k).tolist()] for k in range(grid.dim)]
+    arrays = tuple(np.array(c, dtype=object) for c in cells)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _write_node_csv(grid: Grid, columns: dict[str, np.ndarray], path) -> None:
-    indices = np.unravel_index(np.arange(grid.size), grid.shape)
-    table = (*indices, *grid.node_coords(), *columns.values())
-    row = ",".join(["%d"] * grid.dim + [_FMT] * (len(table) - grid.dim)) + "\n"
+    cells = _axis_cells(grid)
+    # one % call per chunk of whole leading-axis lines, and no whole-grid table
+    values = [v.reshape(grid.points[0], -1) for v in columns.values()]
+    step = max(1, _CSV_CHUNK // values[0].shape[1])
+    row = "%s" * len(cells) + ",".join([_FMT] * len(values)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_csv_header(grid, tuple(columns)) + "\n")
-        # one % call per chunk of rows; whole-column lists would raise peak memory
-        for lo in range(0, grid.size, _CSV_CHUNK):
-            chunk = np.column_stack([c[lo : lo + _CSV_CHUNK] for c in table])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for lo in range(0, grid.points[0], step):
+            lines = slice(lo, lo + step)
+            # leading-axis cells vary down the chunk, trailing-axis cells along each line
+            parts = [a[lines, None] if c % grid.dim == 0 else a for c, a in enumerate(cells)]
+            table = np.stack(np.broadcast_arrays(*parts, *(v[lines] for v in values)), axis=-1)
+            fh.write((row * (table.size // table.shape[-1])) % tuple(table.ravel().tolist()))
 
 
 def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):

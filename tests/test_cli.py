@@ -484,6 +484,19 @@ def test_csv_source_with_truncated_row_is_config_error(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_csv_source_path_is_relative_to_the_working_directory(tmp_path, monkeypatch, capsys):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    field_to_csv(first_eigenvector(Grid(1, (1.0,), (99,))), cfg_dir / "f.csv")
+    sources = {"f": {"kind": "csv", "path": "f.csv"}, "g": {"kind": "eigen", "amplitude": 1.0}}
+    cfg = str(write_config(cfg_dir / "c.json", sources=sources))
+    monkeypatch.chdir(tmp_path)  # f.csv sits next to the config, not here
+    assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert "sources.f" in capsys.readouterr().err
+    monkeypatch.chdir(cfg_dir)
+    assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+
+
 def test_sweep_estimates_s4_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", grid={"dim": 1, "extents": [1.0], "points": [31]})
     calls = count_s4_estimates(monkeypatch)
@@ -726,6 +739,19 @@ def test_bad_source_numbers_are_config_errors(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert f"sources.g.{key}" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "threshold"])
+def test_unknown_source_key_is_config_error(tmp_path, monkeypatch, capsys, command):
+    f = {"kind": "eigen", "amplitude": 1.0}
+    g = {**f, "amplitud": -5.0}  # a misspelt key
+    cfg = write_config(tmp_path / "c.json", sources={"f": f, "g": g})
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sources.g" in err and "'amplitud'" in err
     assert calls == [] and not out.exists()
 
 

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nehari import grid as grid_mod
 from nehari.functional import Params
 from nehari.grid import (
     Field,
@@ -278,19 +281,23 @@ def test_pair_csv_roundtrip(tmp_path, grid_1d, rng):
     assert np.array_equal(back.v.values, p.v.values)
 
 
-def _per_row_csv(p: Pair) -> bytes:
-    """The CSV bytes of a pair, one formatted row at a time, as a reference."""
-    grid = p.grid
+def _per_row_node_csv(grid: Grid, columns: dict) -> bytes:
+    """The CSV bytes of named value columns, one formatted row at a time, as a reference."""
     coords = grid.node_coords()
     indices = np.unravel_index(np.arange(grid.size), grid.shape)
-    names = ("i", "j")[: grid.dim] + ("x", "y")[: grid.dim] + ("u", "v")
+    names = ("i", "j")[: grid.dim] + ("x", "y")[: grid.dim] + tuple(columns)
     lines = [",".join(names)]
     for row in range(grid.size):
         cells = [str(int(ix[row])) for ix in indices]
         cells += ["%.17g" % c[row] for c in coords]
-        cells += ["%.17g" % col[row] for col in (p.u.values, p.v.values)]
+        cells += ["%.17g" % col[row] for col in columns.values()]
         lines.append(",".join(cells))
     return ("\n".join(lines) + "\n").encode()
+
+
+def _per_row_csv(p: Pair) -> bytes:
+    """The CSV bytes of a pair, one formatted row at a time, as a reference."""
+    return _per_row_node_csv(p.grid, {"u": p.u.values, "v": p.v.values})
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -314,6 +321,52 @@ def test_pair_csv_bytes_match_per_row_writer(tmp_path_factory, points, seed, ext
     assert path.read_bytes() == _per_row_csv(p)
     back = pair_from_csv(grid, path)
     assert np.array_equal(back.u.values, u) and np.array_equal(back.v.values, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(st.integers(3, 40), min_size=1, max_size=2),
+    extents=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+    chunk=st.sampled_from([1, 7, 64, grid_mod._CSV_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_node_csv_bytes_match_per_row_writer(tmp_path_factory, points, extents, chunk, seed):
+    # unequal extents and points per axis; chunks shorter than, near and above one line
+    grid = Grid(len(points), tuple(extents[: len(points)]), tuple(points))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.size) * 10.0 ** rng.integers(-300, 300, grid.size)
+    p = Pair(Field(grid, u), Field(grid, rng.standard_normal(grid.size)))
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    with mock.patch.object(grid_mod, "_CSV_CHUNK", chunk):
+        field_to_csv(p.u, path)
+        assert path.read_bytes() == _per_row_node_csv(grid, {"value": u})
+        pair_to_csv(p, path)
+        assert path.read_bytes() == _per_row_csv(p)
+
+
+def test_csv_cells_belong_to_the_whole_grid(tmp_path, rng):
+    # same points, other extents: the coordinate cells must not be reused
+    a, b = Grid(2, (1.0, 2.0), (9, 13)), Grid(2, (3.0, 0.5), (9, 13))
+    path = tmp_path / "p.csv"
+    for grid in (a, b, a):
+        p = random_pair(grid, rng)
+        pair_to_csv(p, path)
+        assert path.read_bytes() == _per_row_csv(p)
+
+
+def test_pair_csv_write_memory_does_not_grow_with_the_grid(tmp_path):
+    # the writer works in line-aligned chunks and builds no whole-grid table
+    peaks = []
+    for grid in (Grid(2, (1.0, 2.0), (63, 127)), Grid(2, (1.0, 1.0), (255, 255))):
+        e = first_eigenvector(grid)
+        p = Pair(e, e.scaled(0.5))
+        tracemalloc.start()
+        try:
+            pair_to_csv(p, tmp_path / "p.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_csv_extra_column_rejected(tmp_path, grid_1d):
