@@ -2,12 +2,13 @@
 
 The problem lives in a single JSON config file (schema shipped at
 nehari/schemas/problem_config.schema.json); flags override the seed, the
-autoscale target rho, and the coupling beta.  Exit codes are stable so
-scripts can branch on the failure class:
+autoscale target rho, and the coupling beta.  ``check`` replays the
+verification of ``solve`` (``verify_run``) on both saved reports.  Exit
+codes are stable so scripts can branch on the failure class:
 
     0  success
     2  config error (parse or validation), or a file that cannot be read
-       or written (a missing field or state CSV, say)
+       or written (a missing field file, solve report or state CSV)
     3  source hypothesis not satisfied (smallness or zero source)
     4  solver failure (non-convergence, lost branch)
     5  verification failure
@@ -245,7 +246,28 @@ def _write_validated(obj: dict, schema_name: str, path) -> None:
     write_json(obj, path)
 
 
-# --- the solve pipeline (shared by solve and sweep) ---------------------------
+# --- the solve pipeline (shared by solve and sweep) and its verification -----
+
+
+def verify_run(problem: Problem, reports: dict) -> dict[str, list[CheckResult]]:
+    """The checks of each report (ground_state, then bound_state), then the
+    cross checks of the pair under "cross"; solve and check both run this."""
+    params, s4, seed = problem.params, problem.threshold.s4, problem.solver_cfg.seed
+    checks = {stem: verify_solution(rep, params, s4=s4, seed=seed) for stem, rep in reports.items()}
+    plus, minus = reports["ground_state"].theta, reports["bound_state"].theta
+    checks["cross"] = [
+        CheckResult("theta_plus_negative", plus < 0.0, f"theta+ = {plus:.6g}"),
+        CheckResult("theta_order", plus < minus, f"theta+ = {plus:.6g} < theta- = {minus:.6g}"),
+    ]
+    return checks
+
+
+def _named_checks(checks: dict, sep: str = ":") -> list[tuple[str, CheckResult]]:
+    """(name, check) pairs; a branch check is named "<branch><sep><name>", a cross check bare."""
+    return [
+        (c.name if part == "cross" else f"{part}{sep}{c.name}", c)
+        for part, cs in checks.items() for c in cs
+    ]
 
 
 def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict]:
@@ -277,7 +299,6 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
     params, solver_cfg = problem.params, problem.solver_cfg
     nonneg = params.f.values.min() >= 0 and params.g.values.min() >= 0
     reports: dict[str, SolveReport] = {}
-    checks: dict[str, list[CheckResult]] = {}
     for branch, stem in ((N_PLUS, "ground_state"), (N_MINUS, "bound_state")):
         try:
             rep, disagree = minimize_over_seeds(
@@ -296,27 +317,14 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
             "solve_report",
             os.path.join(out_dir, f"{stem}.json"),
         )
-        checks[stem] = verify_solution(rep, params, s4=threshold.s4, seed=solver_cfg.seed)
 
-    plus, minus = reports["ground_state"], reports["bound_state"]
-    checks["cross"] = [
-        CheckResult("theta_plus_negative", plus.theta < 0.0, f"theta+ = {plus.theta:.6g}"),
-        CheckResult(
-            "theta_order",
-            plus.theta < minus.theta,
-            f"theta+ = {plus.theta:.6g} < theta- = {minus.theta:.6g}",
-        ),
-    ]
-    # the cross checks are named without a prefix
-    failed = [
-        c.name if part == "cross" else f"{part}:{c.name}"
-        for part, cs in checks.items() for c in cs if not c.passed
-    ]
+    checks = verify_run(problem, reports)
+    failed = [name for name, c in _named_checks(checks) if not c.passed]
     doc = {part: [asdict(c) for c in cs] for part, cs in checks.items()}
     doc["all_passed"] = not failed
     _write_validated(doc, "checks", os.path.join(out_dir, "checks.json"))
 
-    if not (plus.converged and minus.converged):
+    if not all(rep.converged for rep in reports.values()):
         print("error: solver did not converge on both branches", file=sys.stderr)
         return EXIT_SOLVER, reports
     if failed:
@@ -361,11 +369,7 @@ def cmd_fibering(args) -> int:
         if not (args.u and args.v):
             raise ConfigError("csv direction needs --u and --v field files")
         direction = Pair(field_from_csv(params.grid, args.u), field_from_csv(params.grid, args.v))
-    try:
-        ana = analyze_direction(direction, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    doc = fibering_to_dict(ana)
+    doc = fibering_to_dict(analyze_direction(direction, params))  # main maps a ValueError to 2
     validate(doc, load_schema("fibering_analysis"))
     sys.stdout.write(dumps(doc))
     return EXIT_OK
@@ -401,6 +405,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"invalid sweep values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if len(set(values)) < len(values):  # one directory per value, so each value once
+        raise ConfigError(f"sweep values must not repeat, got {args.values!r}")
 
     # every value is resolved, and so validated, before any is solved; no
     # swept parameter enters s4, so the first value's estimate serves them all
@@ -435,24 +441,17 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config)
     problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
-    stems = [s for s in ("ground_state", "bound_state")
-             if os.path.exists(os.path.join(out_dir, f"{s}.json"))]
-    if not stems:
-        raise ConfigError(f"no saved solve reports under {out_dir}")
-    all_ok = True
-    for stem in stems:
+    reports = {}
+    for stem in ("ground_state", "bound_state"):
         with open(os.path.join(out_dir, f"{stem}.json"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         validate(doc, load_schema("solve_report"))
         state = pair_from_csv(problem.params.grid, os.path.join(out_dir, doc["state_csv"]))
-        rep = solve_report_from_dict(doc, state)
-        checks = verify_solution(
-            rep, problem.params, s4=problem.threshold.s4, seed=problem.solver_cfg.seed
-        )
-        for c in checks:
-            print(f"{stem} {c.name}: {'pass' if c.passed else 'FAIL'} ({c.detail})")
-        all_ok = all_ok and all(c.passed for c in checks)
-    return EXIT_OK if all_ok else EXIT_VERIFY
+        reports[stem] = solve_report_from_dict(doc, state)
+    named = _named_checks(verify_run(problem, reports), sep=" ")
+    for name, c in named:
+        print(f"{name}: {'pass' if c.passed else 'FAIL'} ({c.detail})")
+    return EXIT_OK if all(c.passed for _, c in named) else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,11 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary):
+    def command(name, fn, summary, out=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="problem config JSON")
-        p.add_argument("--out", default=None, help="output directory")
+        if out:  # fibering only prints
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--rho", type=float, default=None, help="override autoscale rho")
         p.add_argument("--beta", type=float, default=None, help="override coupling beta")
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("solve", cmd_solve, "solve both branches and verify")
     command("threshold", cmd_threshold, "print the smallness threshold report")
-    p = command("fibering", cmd_fibering, "print the fibering analysis of a direction")
+    p = command("fibering", cmd_fibering, "print the fibering analysis of a direction", out=False)
     p.add_argument(
         "--direction",
         choices=("sources", "eigen", "csv"),

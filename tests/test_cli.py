@@ -507,7 +507,26 @@ def test_sweep_estimates_s4_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def readme_config(path, **coefficients):
+def test_sweep_rejects_repeated_values_before_running(config, tmp_path, monkeypatch):
+    # one directory per value: a repeat would solve twice into it
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "sw"
+    assert main(
+        ["sweep", "--config", config, "--out", str(out), "--parameter", "beta",
+         "--values", "0.5,0.25,0.50"]
+    ) == EXIT_CONFIG
+    assert calls == [] and not out.exists()
+
+
+def test_fibering_takes_no_out(config, capsys):
+    # fibering only prints, so an --out would do nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["fibering", "--config", config, "--out", "o"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+
+
+def readme_config(path, grad_tol=1e-8, **coefficients):
     """The README config at 1D 49: eigen f, gaussian g, autoscaled to rho 0.5."""
     co = {"lam1": 1.0, "lam2": 1.0, "mu1": 1.0, "mu2": 1.0, "beta": 0.5, **coefficients}
     return write_config(
@@ -519,7 +538,7 @@ def readme_config(path, **coefficients):
             "g": {"kind": "gaussian", "center": [0.5], "width": 0.1, "amplitude": 1.0},
             "autoscale": {"rho": 0.5},
         },
-        solver={"grad_tol": 1e-8},
+        solver={"grad_tol": grad_tol},
     )
 
 
@@ -542,6 +561,40 @@ def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
     assert "bound_state bound_state_norm_floor: FAIL" in capsys.readouterr().out
+
+
+def test_check_of_swapped_reports_fails_the_cross_checks(tmp_path, capsys):
+    # each report still verifies on its own branch; only the pair shows the swap
+    cfg, out = str(readme_config(tmp_path / "c.json")), tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    ground, bound = out / "ground_state.json", out / "bound_state.json"
+    texts = ground.read_text(), bound.read_text()
+    ground.write_text(texts[1])
+    bound.write_text(texts[0])
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_VERIFY
+    fails = [line for line in capsys.readouterr().out.splitlines() if ": FAIL (" in line]
+    assert [line.split(":")[0] for line in fails] == ["theta_plus_negative", "theta_order"]
+
+
+def test_check_fails_the_checks_that_solve_failed(tmp_path, capsys):
+    # a loose stop fails four checks; check's FAIL lines, parsed the way
+    # perfbench/worker.py parses them, name the failing checks of checks.json
+    cfg, out = str(readme_config(tmp_path / "c.json", grad_tol=1e-3)), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_VERIFY
+    doc = read_json(os.path.join(out, "checks.json"))
+    failed = sorted(
+        c["name"] if part == "cross" else f"{part}:{c['name']}"
+        for part in ("ground_state", "bound_state", "cross")
+        for c in doc[part] if not c["passed"]
+    )
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
+    parsed = sorted(
+        line.split(":")[0].replace(" ", ":")
+        for line in capsys.readouterr().out.splitlines() if ": FAIL (" in line
+    )
+    assert len(failed) == 4 and parsed == failed
 
 
 def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):
@@ -778,11 +831,13 @@ def test_missing_direction_file_is_exit_2(config, tmp_path, capsys):
     assert err.startswith("error: ") and "missing.csv" in err
 
 
-def test_check_with_a_deleted_state_file_is_exit_2(config, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["bound_state.csv", "bound_state.json"])
+def test_check_with_a_deleted_file_is_exit_2(config, tmp_path, capsys, name):
+    # check verifies the pair, so it needs both reports and both states
     out = tmp_path / "out"
     assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
-    (out / "bound_state.csv").unlink()
+    (out / name).unlink()
     capsys.readouterr()
     assert main(["check", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bound_state.csv" in err
+    assert err.startswith("error: ") and name in err
