@@ -447,7 +447,7 @@ def cmd_check(args) -> int:
             doc = json.load(fh)
         validate(doc, load_schema("solve_report"))
         state = pair_from_csv(problem.params.grid, os.path.join(out_dir, doc["state_csv"]))
-        reports[stem] = solve_report_from_dict(doc, state)
+        reports[stem] = replace(solve_report_from_dict(doc, state), config=problem.solver_cfg)
     named = _named_checks(verify_run(problem, reports), sep=" ")
     for name, c in named:
         print(f"{name}: {'pass' if c.passed else 'FAIL'} ({c.detail})")

@@ -121,8 +121,8 @@ class RayData(NamedTuple):
 
     @property
     def grad_norm(self) -> float:
-        """Max-norm of the nodal gradient, the descent's convergence measure."""
-        return max_norm(*self.gradient)
+        """Max-norm of the nodal gradient, exactly vol * max|residual| as rounding is monotone."""
+        return self.vol * max_norm(*self.residual)
 
 
 def evaluate(params: Params, u: np.ndarray, v: np.ndarray) -> RayData:

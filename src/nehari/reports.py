@@ -12,6 +12,7 @@ additionalProperties).
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -34,9 +35,14 @@ def write_json(obj, path) -> None:
         fh.write(text)
 
 
+@functools.lru_cache(maxsize=None)
+def _schema_text(name: str) -> str:
+    return resources.files("nehari.schemas").joinpath(f"{name}.schema.json").read_text()
+
+
 def load_schema(name: str) -> dict:
-    text = resources.files("nehari.schemas").joinpath(f"{name}.schema.json").read_text()
-    return json.loads(text)
+    """The named schema, read once per process; each call returns a fresh dict."""
+    return json.loads(_schema_text(name))
 
 
 _TYPES = {

@@ -526,9 +526,11 @@ def test_fibering_takes_no_out(config, capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def readme_config(path, grad_tol=1e-8, **coefficients):
+def readme_config(path, grad_tol=1e-8, max_iters=None, **coefficients):
     """The README config at 1D 49: eigen f, gaussian g, autoscaled to rho 0.5."""
     co = {"lam1": 1.0, "lam2": 1.0, "mu1": 1.0, "mu2": 1.0, "beta": 0.5, **coefficients}
+    solver = {"grad_tol": grad_tol} if max_iters is None else {"grad_tol": grad_tol,
+                                                               "max_iters": max_iters}
     return write_config(
         path,
         grid={"dim": 1, "extents": [1.0], "points": [49]},
@@ -538,7 +540,7 @@ def readme_config(path, grad_tol=1e-8, **coefficients):
             "g": {"kind": "gaussian", "center": [0.5], "width": 0.1, "amplitude": 1.0},
             "autoscale": {"rho": 0.5},
         },
-        solver={"grad_tol": grad_tol},
+        solver=solver,
     )
 
 
@@ -595,6 +597,44 @@ def test_check_fails_the_checks_that_solve_failed(tmp_path, capsys):
         for line in capsys.readouterr().out.splitlines() if ": FAIL (" in line
     )
     assert len(failed) == 4 and parsed == failed
+
+
+def test_check_of_an_unconverged_solve_runs_every_check(tmp_path, capsys):
+    # two iterations leave both branches far from a solution: solve calls it
+    # a solver failure, and check fails the three convergence checks of each
+    # branch instead of skipping them
+    cfg, out = str(readme_config(tmp_path / "c.json", max_iters=2)), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_SOLVER
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
+    fails = sorted(line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if ": FAIL (" in line)
+    assert fails == [f"{stem} {name}" for stem in ("bound_state", "ground_state")
+                     for name in ("gradient_norm", "pde_residual", "weak_form")]
+
+
+def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
+    # a tolerance edited into a saved report changes no check and no line
+    cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK
+    before = capsys.readouterr().out
+    path = os.path.join(out, "bound_state.json")
+    doc = read_json(path)
+    doc["config"]["grad_tol"] = 1.0
+    write_json(doc, path)
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().out == before
+
+
+def test_load_schema_returns_a_fresh_dict_of_text_read_once():
+    from nehari import reports
+
+    first = load_schema("checks")
+    first["required"].append("mutated")
+    assert "mutated" not in load_schema("checks")["required"]
+    assert reports._schema_text("checks") is reports._schema_text("checks")
 
 
 def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):

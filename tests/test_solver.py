@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from nehari.fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
-from nehari.functional import Params, energy, evaluate, gradient
+from nehari.functional import Params, energy, evaluate, gradient, max_norm
 from nehari.grid import (
     Field,
     Grid,
@@ -26,6 +26,7 @@ from nehari.solver import (
     SolverConfig,
     _line_polynomials,
     _line_trial,
+    _polyval,
     _riesz_solves,
     auto_init,
     minimize,
@@ -360,6 +361,127 @@ def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
             continue
         ref = energy(retract(q, params, branch), params).total
         assert abs(j - ref) <= 1e-12 * (t * t * scale_n / 2 + t**4 * scale_a / 4 + t * scale_b)
+
+
+def _numpy_line_polynomials(rd, du, dv, params):
+    # the line polynomials as whole-array numpy: 36 dot products of the six
+    # rows, then the antidiagonal sums as traces of the flipped matrix
+    vol = rd.vol
+    pu, pv = rd.terms_u @ du, rd.terms_v @ dv
+    slope = float(vol * (pu.sum() + pv.sum()))
+    u, v = rd.u, rd.v
+    rows = (u * u, -2.0 * u * du, du * du, v * v, -2.0 * v * dv, dv * dv)
+    gram = np.array([[a @ b for b in rows] for a in rows])
+    m = params.mu1 * gram[:3, :3] + params.mu2 * gram[3:, 3:] + 2.0 * params.beta * gram[:3, 3:]
+    quartic = vol * np.array([np.fliplr(m).trace(2 - k) for k in range(5)])
+    norm_sq = (rd.norm_sq, -2.0 * vol * (pu[0] + pu[1] + pv[0] + pv[1]), slope)
+    source = (rd.source, vol * (pu[4] + pv[4]))
+    return (norm_sq, quartic, source), slope
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2)),
+    beta=st.floats(-0.99, 2.0),
+    mus=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+    log_scales=st.tuples(st.floats(-8.0, 3.0), st.floats(-8.0, 3.0)),
+    zero=st.sampled_from(("none", "du", "dv", "entries")),
+)
+def test_line_polynomials_equal_the_numpy_expression(seed, dim, beta, mus, log_scales, zero):
+    # the float algebra on 21 dot products gives the whole-array expression's
+    # bits, including the signs of zero coefficients
+    grid = Grid(1, (1.0,), (31,)) if dim == 1 else Grid(2, (1.0, 1.5), (7, 9))
+    rng = np.random.default_rng(seed)
+    mu1, mu2 = mus
+    beta = max(beta, -0.99 * math.sqrt(mu1 * mu2))
+    f, g = (Field(grid, rng.uniform(0.0, 3.0) * rng.random(grid.size)) for _ in range(2))
+    params = Params(1.0, 2.5, mu1, mu2, beta, f, g)
+    rd = evaluate(params, *(rng.uniform(0.1, 10.0) * rng.standard_normal(grid.size)
+                            for _ in range(2)))
+    du, dv = (10.0**s * rng.standard_normal(grid.size) for s in log_scales)
+    if zero == "du":
+        du = np.zeros(grid.size)
+    elif zero == "dv":
+        dv = np.zeros(grid.size)
+    elif zero == "entries":
+        du[rng.random(grid.size) < 0.5] = 0.0
+        dv[rng.random(grid.size) < 0.5] = -0.0
+    got, got_slope = _line_polynomials(rd, du, dv, params)
+    want, want_slope = _numpy_line_polynomials(rd, du, dv, params)
+    assert _bits(got_slope) == _bits(want_slope)
+    for g_c, w_c in zip(got, want):
+        assert _bits(g_c) == _bits(w_c)
+
+
+_COEF = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e-6, 1e-6, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefs=st.lists(_COEF, min_size=1, max_size=5), log_eta=st.floats(-12.0, 2.0))
+def test_float_horner_equals_polyval(coefs, log_eta):
+    eta = 10.0**log_eta
+    assert _bits(_polyval(tuple(coefs), eta)) == _bits(polyval(eta, coefs))
+
+
+def test_line_trial_evaluates_like_polyval(small_problem):
+    # the trial on float Horner values equals the trial on polyval's values
+    grid, params, _s4, _rep = small_problem
+    p = auto_init(N_MINUS, params, grid, 3)
+    rd = evaluate(params, p.u.values, p.v.values)
+    solve1, solve2 = _riesz_solves(params)
+    polys, _slope = _line_polynomials(rd, solve1(rd.residual[0]), solve2(rd.residual[1]), params)
+    for eta in 2.0 ** -np.arange(0, 40, 3):
+        n, a, b = (float(polyval(eta, c)) for c in polys)
+        t = solver.branch_root(solver.analyze(n, a, b), N_MINUS)
+        want = t * t * (0.5 * n - 0.25 * t * t * a) - t * b
+        assert _line_trial(N_MINUS, polys, eta) == (t, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2)),
+    log_scale=st.floats(-150.0, 150.0),
+)
+def test_grad_norm_equals_the_max_norm_of_the_gradient(seed, dim, log_scale):
+    grid = Grid(1, (2.0,), (41,)) if dim == 1 else Grid(2, (1.0, 0.3), (9, 13))
+    rng = np.random.default_rng(seed)
+    f, g = (Field(grid, rng.standard_normal(grid.size)) for _ in range(2))
+    params = Params(1.5, 0.5, 1.0, 2.0, -0.5, f, g)
+    rd = evaluate(params, *(10.0**(log_scale / 3) * rng.standard_normal(grid.size)
+                            for _ in range(2)))
+    assert _bits(rd.grad_norm) == _bits(max_norm(*rd.gradient))
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2])
+def test_1d_solve_equals_the_identity_basis_path(monkeypatch, columns):
+    # in 1D the line system is the whole problem: the solve is the factor's
+    # own, bit for bit what products with the 1x1 identity basis give
+    grid = Grid(1, (1.0,), (799,))
+    splu, factors = solver.spla.splu, []
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    solve = solver._shift_solve(grid, 1.0)
+    (lu,) = factors
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal(grid.size if columns is None else (grid.size, columns))
+    basis = np.eye(1)
+    modes = lu.solve((basis @ r.reshape(1, -1)).reshape(r.shape))
+    want = (basis @ modes.reshape(1, -1)).reshape(r.shape)
+    assert solve(r).tobytes() == want.tobytes()
 
 
 def test_weak_form_residual_matches_per_pair_reference(rng):
