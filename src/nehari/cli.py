@@ -67,6 +67,7 @@ class Problem:
     solver_cfg: SolverConfig  # its seed is the problem's seed
     threshold: ThresholdReport  # its s4 is the problem's estimate
     branch_seeds: tuple[int, ...]
+    force: bool  # solve past an unsatisfied threshold (--force)
 
 
 def load_config(path) -> dict:
@@ -200,16 +201,14 @@ def resolve_problem(
         scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
         params = replace(params, f=f.scaled(scale), g=g.scaled(scale))
 
-    return Problem(params, solver_cfg, compute_threshold(params, grid, s4), branch_seeds)
+    return Problem(params, solver_cfg, compute_threshold(params, grid, s4), branch_seeds, force)
 
 
 # --- report serialization ----------------------------------------------------
 
 
 # the saved fields of a SolveReport; the state goes to its own CSV file
-_SAVED = tuple(
-    f.name for f in fields(SolveReport) if f.name != "state" and not f.name.endswith("_history")
-)
+_SAVED = tuple(f.name for f in fields(SolveReport) if f.name not in ("state", "history"))
 
 
 def solve_report_to_dict(rep: SolveReport, state_csv: str, seed_disagreement: bool = False) -> dict:
@@ -219,14 +218,10 @@ def solve_report_to_dict(rep: SolveReport, state_csv: str, seed_disagreement: bo
     return doc
 
 
-def solve_report_from_dict(d: dict, state: Pair) -> SolveReport:
-    """The report saved as d, with its state; the histories are not saved."""
+def solve_report_from_dict(d: dict, state: Pair, config: SolverConfig) -> SolveReport:
+    """The report saved as d, with its state and config; d["config"] is not read."""
     saved = {name: d[name] for name in _SAVED}
-    saved.update(
-        state=state,
-        positive=tuple(bool(b) for b in d["positive"]),
-        config=SolverConfig(**d["config"]),
-    )
+    saved.update(state=state, positive=tuple(bool(b) for b in d["positive"]), config=config)
     return SolveReport(**saved)
 
 
@@ -270,7 +265,7 @@ def _named_checks(checks: dict, sep: str = ":") -> list[tuple[str, CheckResult]]
     ]
 
 
-def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict]:
+def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
     """Run both branches, verify, write all reports; returns (exit, reports).
 
     reports maps ground_state and bound_state to their SolveReports; it is
@@ -286,7 +281,7 @@ def run_solve(problem: Problem, out_dir, force: bool = False) -> tuple[int, dict
             file=sys.stderr,
         )
         return EXIT_THRESHOLD, {}
-    if not threshold.satisfied and not force:
+    if not threshold.satisfied and not problem.force:
         print(
             f"error: max(|f|_4/3, |g|_4/3) = "
             f"{max(threshold.f_norm, threshold.g_norm):.6g} is not "
@@ -345,7 +340,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = _resolve(args, cfg)
     out_dir = args.out or cfg.get("output_dir", "out")
-    return run_solve(problem, out_dir, force=args.force)[0]
+    return run_solve(problem, out_dir)[0]
 
 
 def cmd_threshold(args) -> int:
@@ -407,6 +402,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
     if len(set(values)) < len(values):  # one directory per value, so each value once
         raise ConfigError(f"sweep values must not repeat, got {args.values!r}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
     # every value is resolved, and so validated, before any is solved; no
     # swept parameter enters s4, so the first value's estimate serves them all
@@ -418,11 +415,10 @@ def cmd_sweep(args) -> int:
 
     out_dir = args.out or cfg.get("output_dir", "out")
     out_dirs = [os.path.join(out_dir, _sweep_slug(args.parameter, v)) for v in values]
-    forces = [args.force] * len(values)
     # each row is built as its value's result arrives, so no report outlives it
     codes, rows = [], []
     with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(run_solve, problems, out_dirs, forces)
+        results = (pool.map if pool else map)(run_solve, problems, out_dirs)
         for value, problem, (code, reports) in zip(values, problems, results):
             codes.append(code)
             rows.append(_sweep_row(value, problem.threshold, reports))
@@ -447,7 +443,7 @@ def cmd_check(args) -> int:
             doc = json.load(fh)
         validate(doc, load_schema("solve_report"))
         state = pair_from_csv(problem.params.grid, os.path.join(out_dir, doc["state_csv"]))
-        reports[stem] = replace(solve_report_from_dict(doc, state), config=problem.solver_cfg)
+        reports[stem] = solve_report_from_dict(doc, state, problem.solver_cfg)
     named = _named_checks(verify_run(problem, reports), sep=" ")
     for name, c in named:
         print(f"{name}: {'pass' if c.passed else 'FAIL'} ({c.detail})")

@@ -7,7 +7,7 @@ JSON, so they raise instead of being written.  Each report kind has a schema
 file shipped under ``nehari/schemas``, whose ``required`` list gives its keys
 in the order they are written; the validator below covers the subset of JSON
 Schema those files use (type, properties, required, items, enum,
-additionalProperties).
+additionalProperties, and $ref to a definition under the root's $defs).
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ _TYPES = {
 }
 
 
-def _check(obj, schema, path, errors):
+def _check(obj, schema, path, errors, root):
+    if "$ref" in schema:  # only the form "#/$defs/<name>"; any other is a KeyError
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
     typ = schema.get("type")
     allowed = [] if typ is None else typ if isinstance(typ, list) else [typ]
     if allowed and not any(  # a bool is not a number
@@ -74,17 +76,17 @@ def _check(obj, schema, path, errors):
         props = schema.get("properties", {})
         for key, value in obj.items():
             if key in props:
-                _check(value, props[key], f"{path}.{key}", errors)
+                _check(value, props[key], f"{path}.{key}", errors, root)
             elif schema.get("additionalProperties") is False:
                 errors.append(f"{path}: unexpected key {key!r}")
     if isinstance(obj, (list, tuple)) and "items" in schema:
         for i, value in enumerate(obj):
-            _check(value, schema["items"], f"{path}[{i}]", errors)
+            _check(value, schema["items"], f"{path}[{i}]", errors, root)
 
 
 def validate(obj, schema) -> None:
     """Raise SchemaError listing every violation, or return quietly."""
     errors: list[str] = []
-    _check(obj, schema, "$", errors)
+    _check(obj, schema, "$", errors, schema)
     if errors:
         raise SchemaError("; ".join(errors))

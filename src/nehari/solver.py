@@ -115,10 +115,8 @@ class SolveReport:
     tau_bound: float | None  # N- only: norm_sq/sqrt(3A), the origin gap
     noise_injected: bool
     config: SolverConfig
-    energy_history: tuple[float, ...] = field(default=(), repr=False)
-    norm_history: tuple[float, ...] = field(default=(), repr=False)
-    source_history: tuple[float, ...] = field(default=(), repr=False)
-    indicator_history: tuple[float, ...] = field(default=(), repr=False)
+    # one (energy, norm, source pairing, branch indicator) row per iterate
+    history: tuple[tuple[float, float, float, float], ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -368,7 +366,6 @@ def _build_report(
     p = Pair(Field(grid, rd.u), Field(grid, rd.v))
     # the public functions re-evaluate p; they equal rd's values bit for bit
     g = gradient(p, params)
-    hist_j, hist_norm, hist_src, hist_ind = zip(*hist)
     converged = converged and rd.nehari_residual <= cfg.nehari_tol and _on_branch(rd, branch)
     res, scale = pde_residual_scale(rd)
     return SolveReport(
@@ -383,15 +380,12 @@ def _build_report(
         positive=(_component_positive(rd.u), _component_positive(rd.v)),
         iterations=iterations,
         converged=converged,
-        norm_min=float(min(hist_norm)),
-        norm_max=float(max(hist_norm)),
+        norm_min=min(row[1] for row in hist),
+        norm_max=max(row[1] for row in hist),
         tau_bound=rd.origin_gap if branch == N_MINUS else None,
         noise_injected=noise_injected,
         config=cfg,
-        energy_history=hist_j,
-        norm_history=hist_norm,
-        source_history=hist_src,
-        indicator_history=hist_ind,
+        history=tuple(hist),
     )
 
 

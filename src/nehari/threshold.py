@@ -185,14 +185,18 @@ def compute_threshold(params: Params, grid: Grid, s4: float) -> ThresholdReport:
     and never count as satisfied, since the two-solution statement assumes
     both sources nonzero.
     """
-    if not s4 > 0:
-        raise ValueError(f"s4 must be positive, got {s4}")
     if params.beta > 0:
         c = max(params.mu1, params.mu2, params.beta)
     else:
         # nonpositive coupling makes the cross term nonpositive
         c = max(params.mu1, params.mu2)
-    sup_a = c * s4**4
+    sup_a = c * s4**4  # s4 shrinks like lam^(-1/2): s4**4 underflows at lam 1e200
+    if not (s4 > 0 and sup_a > 0):
+        raise ValueError(
+            f"no threshold at lam1 = {params.lam1:g}, lam2 = {params.lam2:g}, "
+            f"mu1 = {params.mu1:g}, mu2 = {params.mu2:g}, beta = {params.beta:g}: "
+            f"it needs s4 > 0 and c*s4^4 > 0, got s4 = {s4:g} and c*s4^4 = {sup_a:g}"
+        )
     alpha = (2.0 / 3.0) * math.sqrt(1.0 / (3.0 * sup_a))
     lam_threshold = alpha / (math.sqrt(2.0) * s4)
     f_norm = l43_norm(params.f)

@@ -77,15 +77,18 @@ def test_solve_reference_config(config, tmp_path):
     assert gs["positive"] == [True, True] and bs["positive"] == [True, True]
 
 
-def assert_key_order(doc, schema):
+def assert_key_order(doc, schema, root=None):
     """Every object in doc lists its keys in the order of its schema's required list."""
+    root = root or schema
+    if "$ref" in schema:
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
     if isinstance(doc, dict):
         assert list(doc) == schema["required"]
         for key, value in doc.items():
-            assert_key_order(value, schema["properties"][key])
+            assert_key_order(value, schema["properties"][key], root)
     elif isinstance(doc, list):
         for item in doc:
-            assert_key_order(item, schema["items"])
+            assert_key_order(item, schema["items"], root)
 
 
 def test_reports_validate_against_schemas(config, tmp_path, capsys):
@@ -518,6 +521,18 @@ def test_sweep_rejects_repeated_values_before_running(config, tmp_path, monkeypa
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one_before_running(config, tmp_path, monkeypatch, capsys, jobs):
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "sw"
+    assert main(
+        ["sweep", "--config", config, "--out", str(out), "--parameter", "beta",
+         "--values", "0.25,0.5", "--jobs", jobs]
+    ) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_fibering_takes_no_out(config, capsys):
     # fibering only prints, so an --out would do nothing
     with pytest.raises(SystemExit) as exc:
@@ -614,18 +629,20 @@ def test_check_of_an_unconverged_solve_runs_every_check(tmp_path, capsys):
 
 
 def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
-    # a tolerance edited into a saved report changes no check and no line
+    # a setting edited into a saved report, even one no config may hold,
+    # changes no check and no line: check never reads the saved settings
     cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK
     before = capsys.readouterr().out
     path = os.path.join(out, "bound_state.json")
-    doc = read_json(path)
-    doc["config"]["grad_tol"] = 1.0
-    write_json(doc, path)
-    assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK
-    assert capsys.readouterr().out == before
+    for key, value in (("grad_tol", 1.0), ("max_iters", 0)):
+        doc = read_json(path)
+        doc["config"][key] = value
+        write_json(doc, path)
+        assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK, key
+        assert capsys.readouterr().out == before, key
 
 
 def test_load_schema_returns_a_fresh_dict_of_text_read_once():
@@ -646,6 +663,18 @@ def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):
     floor = [c for c in read_json(os.path.join(out, "checks.json"))["bound_state"]
              if c["name"] == "bound_state_norm_floor"]
     assert floor and not floor[0]["passed"]
+
+
+@pytest.mark.parametrize("command", ["threshold", "solve", "check"])
+def test_huge_lam_is_config_error(tmp_path, capsys, command):
+    # s4 shrinks like lam^(-1/2), so at lam 1e200 its fourth power underflows
+    # and no threshold can be formed
+    cfg = str(readme_config(tmp_path / "c.json", lam1=1e200, lam2=1e200))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lam1 = 1e+200, lam2 = 1e+200" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extent", [1e200, 1e-200])
@@ -702,10 +731,10 @@ def test_solve_report_json_round_trip(rep, disagree):
     text = dumps(cli.solve_report_to_dict(rep, "state.csv", seed_disagreement=disagree))
     doc = json.loads(text)
     validate(doc, load_schema("solve_report"))
-    back = cli.solve_report_from_dict(doc, rep.state)
+    # check verifies with its own settings, but the saved config must read back as written
+    back = cli.solve_report_from_dict(doc, rep.state, SolverConfig(**doc["config"]))
     saved = [f.name for f in fields(SolveReport) if f.name in doc]
-    histories = {"energy_history", "norm_history", "source_history", "indicator_history"}
-    assert {f.name for f in fields(SolveReport)} - set(saved) == {"state", *histories}
+    assert {f.name for f in fields(SolveReport)} - set(saved) == {"state", "history"}
     for name in saved:
         want, got = getattr(rep, name), getattr(back, name)
         assert got == want, name

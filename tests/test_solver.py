@@ -84,21 +84,21 @@ def test_energy_history_monotone(solved):
     # non-increasing within 1e-12 slack, read relative to the energy scale
     _grid, _params, _s4, plus, minus = solved
     for rep in (plus, minus):
-        hist = np.array(rep.energy_history)
+        hist = np.array([row[0] for row in rep.history])
         assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
 
 
 def test_branch_sign_along_iterates(solved):
     _grid, _params, _s4, plus, minus = solved
-    assert all(ind > 0.0 for ind in plus.indicator_history)
-    assert all(ind < 0.0 for ind in minus.indicator_history)
+    assert all(row[3] > 0.0 for row in plus.history)
+    assert all(row[3] < 0.0 for row in minus.history)
 
 
 def test_manifold_identity_along_iterates(solved):
     # J = ||p||^2/4 - 3B/4 at every accepted retracted iterate
     _grid, _params, _s4, plus, minus = solved
     for rep in (plus, minus):
-        for j, norm, b in zip(rep.energy_history, rep.norm_history, rep.source_history):
+        for j, norm, b, _indicator in rep.history:
             assert abs(j - (0.25 * norm**2 - 0.75 * b)) <= 1e-8 * (1.0 + abs(j))
 
 
@@ -117,7 +117,7 @@ def test_bound_state_stays_away_from_origin(solved):
     assert nsq < 3.0 * a
     assert minus.tau_bound is not None
     assert math.sqrt(nsq) > minus.tau_bound * (1.0 - 1e-12)
-    assert min(minus.norm_history) > 0.0
+    assert min(row[1] for row in minus.history) > 0.0
 
 
 def test_converged_gradient_below_tolerance(solved):
