@@ -10,7 +10,7 @@ codes are stable so scripts can branch on the failure class:
     2  config error (parse or validation), or a file that cannot be read
        or written (a missing field file, solve report or state CSV)
     3  source hypothesis not satisfied (smallness or zero source)
-    4  solver failure (non-convergence, lost branch)
+    4  solver failure (non-convergence, lost branch, a state past float range)
     5  verification failure
 """
 
@@ -296,13 +296,15 @@ def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
     reports: dict[str, SolveReport] = {}
     for branch, stem in ((N_PLUS, "ground_state"), (N_MINUS, "bound_state")):
         try:
-            rep, disagree = minimize_over_seeds(
-                branch, params, params.grid, solver_cfg, seeds=problem.branch_seeds
-            )
-            if nonneg and rep.converged:
-                rep = positivity_rescale(rep, params)
-        except RuntimeError as exc:
-            # BranchVanished, SemiTrivialCollapse, or a rescale that raised the energy
+            # a state past float range raises a ValueError; numpy stays quiet
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep, disagree = minimize_over_seeds(
+                    branch, params, params.grid, solver_cfg, seeds=problem.branch_seeds
+                )
+                if nonneg and rep.converged:
+                    rep = positivity_rescale(rep, params)
+        except (RuntimeError, ValueError) as exc:
+            # BranchVanished, SemiTrivialCollapse, a rescale that raised the energy
             print(f"error: {branch} solve failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER, {}
         reports[stem] = rep

@@ -10,9 +10,10 @@ B = int(f*u + g*v).  Along a ray J(t*p) = t^2*N/2 - t^4*A/4 - t*B, so the
 energy, the constraint N - A - B and the branch indicator 2N - 4A - B are
 algebra on the ray data (N, A, B).  evaluate() computes the strong residual
 rows of a state with one stencil pass per component and gets N, A and B by
-pairing those rows with the state; every public function below is a
-reduction of its result.  All quadrature is the grid's rectangle rule, so
-the gradient is the exact derivative of the discrete energy.
+pairing those rows with the state; energy and gradient are reductions of
+its result.  polyval is the Horner rule of the line polynomials of the
+descent and of the s4 ascent.  All quadrature is the grid's rectangle rule,
+so the gradient is the exact derivative of the discrete energy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .grid import Field, Grid, Pair, laplacian_matvec
 
-__all__ = ["Params", "EnergyBreakdown", "RayData", "evaluate", "energy", "gradient", "max_norm"]
+__all__ = ["Params", "RayData", "evaluate", "energy", "gradient", "max_norm", "polyval"]
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,6 @@ class Params:
     @property
     def grid(self) -> Grid:
         return self.f.grid
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The three parts of J, reported separately.
-
-    total is stored as quadratic - quartic - source, exactly.
-    """
-
-    quadratic: float  # 1/2 * ||(u,v)||^2
-    quartic: float  # 1/4 * A
-    source: float  # B
-    total: float
 
 
 class RayData(NamedTuple):
@@ -157,10 +145,17 @@ def max_norm(*arrays: np.ndarray) -> float:
     return float(max(np.abs(a).max() for a in arrays))
 
 
-def energy(p: Pair, params: Params) -> EnergyBreakdown:
-    """J = 1/2*||(u,v)||^2 - 1/4*A - B, parts reported separately."""
-    rd = evaluate(params, p.u.values, p.v.values)
-    return EnergyBreakdown(0.5 * rd.norm_sq, 0.25 * rd.quartic, rd.source, rd.energy)
+def polyval(c, x: float) -> float:
+    """Horner's rule for c[0] + c[1]*x + ..., in numpy's polyval order and bits."""
+    y = c[-1] + x * 0.0
+    for a in c[-2::-1]:
+        y = a + y * x
+    return y
+
+
+def energy(p: Pair, params: Params) -> float:
+    """J = 1/2*||(u,v)||^2 - 1/4*A - B; evaluate() gives the parts N, A and B."""
+    return evaluate(params, p.u.values, p.v.values).energy
 
 
 def gradient(p: Pair, params: Params) -> Pair:

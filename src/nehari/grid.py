@@ -273,35 +273,39 @@ def _write_node_csv(grid: Grid, columns: dict[str, np.ndarray], path) -> None:
             fh.write((row * (table.size // table.shape[-1])) % tuple(table.ravel().tolist()))
 
 
-def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        want = _csv_header(grid, value_cols).split(",")
-        if header != want:
-            raise ValueError(f"unexpected CSV header {header!r}, want {want!r}")
-        with warnings.catch_warnings():
-            # a header-only file is reported by the row-count check below
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if len(data) != grid.size:
-        raise ValueError(f"expected {grid.size} rows, got {len(data)}")
-    if data.shape[1] != len(want):
-        raise ValueError(f"expected {len(want)} columns, got {data.shape[1]}")
-    # a reordered or foreign-grid file must not load as if it were this grid's
-    dim = grid.dim
-    index = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
-    off = np.abs(data[:, dim : 2 * dim] - np.column_stack(grid.node_coords()))
-    for what, wrong in (
-        ("index", data[:, :dim] != index),
-        ("coordinate", ~(off <= 1e-6 * np.array(grid.spacing))),  # NaN fails too
-    ):
-        rows = np.flatnonzero(wrong.any(axis=1))
-        if rows.size:
-            raise ValueError(
-                f"data row {rows[0] + 1}: {what} columns do not match node "
-                f"{tuple(int(i) for i in index[rows[0]])} of the grid"
-            )
-    return list(data[:, 2 * dim :].T)
+def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]) -> list[Field]:
+    """The value columns of a node CSV as Fields; a malformed file's error names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            want = _csv_header(grid, value_cols).split(",")
+            if header != want:
+                raise ValueError(f"unexpected CSV header {header!r}, want {want!r}")
+            with warnings.catch_warnings():
+                # a header-only file is reported by the row-count check below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if len(data) != grid.size:
+            raise ValueError(f"expected {grid.size} rows, got {len(data)}")
+        if data.shape[1] != len(want):
+            raise ValueError(f"expected {len(want)} columns, got {data.shape[1]}")
+        # a reordered or foreign-grid file must not load as if it were this grid's
+        dim = grid.dim
+        index = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
+        off = np.abs(data[:, dim : 2 * dim] - np.column_stack(grid.node_coords()))
+        for what, wrong in (
+            ("index", data[:, :dim] != index),
+            ("coordinate", ~(off <= 1e-6 * np.array(grid.spacing))),  # NaN fails too
+        ):
+            rows = np.flatnonzero(wrong.any(axis=1))
+            if rows.size:
+                raise ValueError(
+                    f"data row {rows[0] + 1}: {what} columns do not match node "
+                    f"{tuple(int(i) for i in index[rows[0]])} of the grid"
+                )
+        return [Field(grid, vals) for vals in data[:, 2 * dim :].T]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def field_to_csv(w: Field, path) -> None:
@@ -309,8 +313,8 @@ def field_to_csv(w: Field, path) -> None:
 
 
 def field_from_csv(grid: Grid, path) -> Field:
-    (vals,) = _read_node_csv(grid, path, ("value",))
-    return Field(grid, vals)
+    (w,) = _read_node_csv(grid, path, ("value",))
+    return w
 
 
 def pair_to_csv(p: Pair, path) -> None:
@@ -318,5 +322,4 @@ def pair_to_csv(p: Pair, path) -> None:
 
 
 def pair_from_csv(grid: Grid, path) -> Pair:
-    u, v = _read_node_csv(grid, path, ("u", "v"))
-    return Pair(Field(grid, u), Field(grid, v))
+    return Pair(*_read_node_csv(grid, path, ("u", "v")))

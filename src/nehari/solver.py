@@ -12,9 +12,9 @@ A raw nodal step has mesh-dependent conditioning (the stencil's stiffness
 grows like h^-2) and cannot reach tight gradient tolerances within a sane
 iteration budget; one exact sine-transform solve of the shifted Laplacian per
 step removes that mesh dependence, leaving the stationary points unchanged.
-Convergence is declared on the free nodal gradient, because any constrained
-stationary point on either branch has a vanishing multiplier and is
-therefore a free critical point.
+A state is converged when it passes _stop_checks: on the manifold, on its
+branch and with free nodal gradient below grad_tol, as a constrained critical
+point on either branch has a vanishing multiplier and so is a free one.
 
 Along a ray the energy is fixed by the ray data (N, A, B) = (squared norm,
 quartic interaction, source pairing): J(t*p) = t^2*N/2 - t^4*A/4 - t*B.
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
-from .functional import Params, RayData, energy, evaluate, gradient, max_norm
+from .functional import Params, RayData, energy, evaluate, gradient, max_norm, polyval
 from .grid import Field, Grid, Pair, first_eigenvector, l43_norm, sine_modes
 # unused here since functional.evaluate applies the stencil, but bound on purpose:
 # perfbench's test_wrappers_reach_every_import_site_and_are_removed reads it
@@ -170,9 +170,16 @@ def pde_residual_scale(rd: RayData) -> tuple[float, float]:
     return max_norm(*rd.residual), float(scale)
 
 
-def _on_branch(rd: RayData, branch: str) -> bool:
-    """The branch sign test: indicator positive on N+, negative on N-."""
-    return rd.indicator > 0 if branch == N_PLUS else rd.indicator < 0
+def _stop_checks(rd: RayData, cfg: SolverConfig, branch: str) -> list[CheckResult]:
+    """The stop rule: on the manifold, on the branch and below grad_tol."""
+    on_branch = rd.indicator > 0 if branch == N_PLUS else rd.indicator < 0
+    return [
+        CheckResult("on_manifold", rd.nehari_residual <= cfg.nehari_tol,
+                    f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {cfg.nehari_tol:.1e})"),
+        CheckResult("branch_sign", on_branch, f"branch {branch} with indicator {rd.indicator:.6g}"),
+        CheckResult("gradient_norm", rd.grad_norm <= cfg.grad_tol,
+                    f"max nodal gradient {rd.grad_norm:.3e} (tol {cfg.grad_tol:.1e})"),
+    ]
 
 
 def _line_polynomials(rd: RayData, du, dv, params: Params):
@@ -200,17 +207,9 @@ def _line_polynomials(rd: RayData, du, dv, params: Params):
     return (norm_sq, tuple(vol * c for c in quartic), source), slope
 
 
-def _polyval(c, x: float) -> float:
-    """Horner's rule in float arithmetic, in numpy's polyval order."""
-    y = c[-1] + x * 0.0
-    for a in c[-2::-1]:
-        y = a + y * x
-    return y
-
-
 def _line_trial(branch: str, polys, eta: float) -> tuple[float, float]:
     """Root t and energy of t*(p - eta*d) on the branch; raises where retract would."""
-    n, a, b = (_polyval(c, eta) for c in polys)
+    n, a, b = (polyval(c, eta) for c in polys)
     t = branch_root(analyze(n, a, b), branch)
     return t, t * t * (0.5 * n - 0.25 * t * t * a) - t * b
 
@@ -255,11 +254,11 @@ def minimize(
     """Minimize the energy over one manifold branch.
 
     Iterates retraction onto the branch followed by a preconditioned
-    negative-gradient step with Armijo backtracking; stops when the nodal
-    gradient max-norm drops below grad_tol or the iteration cap is hit
-    (best-so-far report with converged=False).  Raises BranchVanished if the
-    branch root disappears along the way, SemiTrivialCollapse if one
-    component dies twice.
+    negative-gradient step with Armijo backtracking while the nodal gradient
+    max-norm exceeds grad_tol, for at most max_iters steps or until no trial
+    step lowers the energy; converged is the stop rule (_stop_checks) of the
+    final state.  Raises BranchVanished if the branch root disappears along
+    the way, SemiTrivialCollapse if one component dies twice.
     """
     cfg = cfg or SolverConfig()
     if params.grid != grid:
@@ -276,17 +275,10 @@ def minimize(
         raise BranchVanished(f"starting direction admits no {branch} root: {exc}") from exc
 
     rd = evaluate(params, p.u.values, p.v.values)
-    hist = [_history(rd)]
+    hist = [_history(rd)]  # one row per iterate, so len(hist) - 1 steps taken
     noise_injected = False
-    converged = False
-    iterations = 0
 
-    for iterations in range(1, cfg.max_iters + 1):
-        if rd.grad_norm <= cfg.grad_tol:
-            converged = True
-            iterations -= 1
-            break
-
+    while rd.grad_norm > cfg.grad_tol and len(hist) <= cfg.max_iters:
         ru, rv = rd.residual
         if solve1 is solve2:
             du, dv = solve1(np.column_stack((ru, rv))).T
@@ -296,7 +288,6 @@ def minimize(
 
         j = rd.energy
         eta = _INITIAL_STEP
-        accepted = False
         saw_branch = False
         # near the minimizer the true per-step decrease drops below the
         # evaluation noise of J (stencil quadrature at stiffness 1/h^2);
@@ -311,11 +302,9 @@ def minimize(
                 continue
             saw_branch = True
             if jt <= j - _ARMIJO_SLOPE * eta * slope + slack:
-                accepted = True
                 break
             eta *= _ARMIJO_FACTOR
-
-        if not accepted:
+        else:
             if not saw_branch:
                 raise BranchVanished(
                     f"every trial step lost the {branch} root; the smallness "
@@ -351,7 +340,7 @@ def minimize(
         rd = evaluate(params, u, v)
         hist.append(_history(rd))
 
-    return _build_report(branch, rd, params, cfg, iterations, converged, noise_injected, hist)
+    return _build_report(branch, rd, params, cfg, noise_injected, hist)
 
 
 def _history(rd: RayData) -> tuple[float, float, float, float]:
@@ -359,27 +348,24 @@ def _history(rd: RayData) -> tuple[float, float, float, float]:
     return rd.energy, math.sqrt(rd.norm_sq), rd.source, rd.indicator
 
 
-def _build_report(
-    branch, rd, params, cfg, iterations, converged, noise_injected, hist,
-) -> SolveReport:
+def _build_report(branch, rd, params, cfg, noise_injected, hist) -> SolveReport:
     grid = params.grid
     p = Pair(Field(grid, rd.u), Field(grid, rd.v))
     # the public functions re-evaluate p; they equal rd's values bit for bit
     g = gradient(p, params)
-    converged = converged and rd.nehari_residual <= cfg.nehari_tol and _on_branch(rd, branch)
     res, scale = pde_residual_scale(rd)
     return SolveReport(
         branch=branch,
         state=p,
-        theta=energy(p, params).total,
+        theta=energy(p, params),
         grad_norm=max_norm(g.u.values, g.v.values),
         nehari_residual=rd.nehari_residual,
         classification_value=rd.indicator,
         pde_residual=res,
         pde_scale=scale,
         positive=(_component_positive(rd.u), _component_positive(rd.v)),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(hist) - 1,
+        converged=all(c.passed for c in _stop_checks(rd, cfg, branch)),
         norm_min=min(row[1] for row in hist),
         norm_max=max(row[1] for row in hist),
         tau_bound=rd.origin_gap if branch == N_MINUS else None,
@@ -499,24 +485,7 @@ def verify_solution(
         f"component norms ({nu:.6g}, {nv:.6g}) vs pair norm {norm:.6g}",
     )
 
-    cfg = report.config
-    add(
-        "on_manifold",
-        rd.nehari_residual <= cfg.nehari_tol,
-        f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {cfg.nehari_tol:.1e})",
-    )
-
-    add(
-        "branch_sign",
-        _on_branch(rd, report.branch),
-        f"branch {report.branch} with indicator {rd.indicator:.6g}",
-    )
-
-    add(
-        "gradient_norm",
-        rd.grad_norm <= cfg.grad_tol,
-        f"max nodal gradient {rd.grad_norm:.3e} (tol {cfg.grad_tol:.1e})",
-    )
+    checks += _stop_checks(rd, report.config, report.branch)
 
     add(
         "theta_matches_energy",

@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .functional import Params, evaluate
+from .functional import Params, evaluate, polyval
 from .grid import (
     Grid,
     Pair,
@@ -76,7 +75,7 @@ def _ascent_line(grid: Grid, lam: float, w: np.ndarray, lw: np.ndarray):
 
 def _line_ratio(mass, norm, s: float) -> float:
     """The ratio |w + s*c|_4 / |w + s*c|_{H,lam} from the _ascent_line polynomials."""
-    return float(polyval(s, mass) ** 0.25 / math.sqrt(polyval(s, norm)))
+    return float(polyval(mass, s) ** 0.25 / math.sqrt(polyval(norm, s)))
 
 
 def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[float, bool]:
@@ -100,7 +99,7 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[
     for _ in range(max_iters):
         tobj = _line_ratio(mass, norm, step)
         if tobj > obj:
-            k = 1.0 / math.sqrt(polyval(step, norm))
+            k = 1.0 / math.sqrt(polyval(norm, step))
             w, lw = k * (w + step * c), k * (lw + step * lc)
             mass, norm, c, lc = _ascent_line(grid, lam, w, lw)
             obj = tobj

@@ -541,14 +541,14 @@ def test_fibering_takes_no_out(config, capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def readme_config(path, grad_tol=1e-8, max_iters=None, **coefficients):
+def readme_config(path, grad_tol=1e-8, max_iters=None, points=49, **coefficients):
     """The README config at 1D 49: eigen f, gaussian g, autoscaled to rho 0.5."""
     co = {"lam1": 1.0, "lam2": 1.0, "mu1": 1.0, "mu2": 1.0, "beta": 0.5, **coefficients}
     solver = {"grad_tol": grad_tol} if max_iters is None else {"grad_tol": grad_tol,
                                                                "max_iters": max_iters}
     return write_config(
         path,
-        grid={"dim": 1, "extents": [1.0], "points": [49]},
+        grid={"dim": 1, "extents": [1.0], "points": [points]},
         coefficients=co,
         sources={
             "f": {"kind": "eigen", "amplitude": 1.0},
@@ -626,6 +626,96 @@ def test_check_of_an_unconverged_solve_runs_every_check(tmp_path, capsys):
                    if ": FAIL (" in line)
     assert fails == [f"{stem} {name}" for stem in ("bound_state", "ground_state")
                      for name in ("gradient_norm", "pde_residual", "weak_form")]
+
+
+# the README config at 1D 49 meets the stop rule after this many steps per branch
+_README_STEPS = {N_PLUS: 4, N_MINUS: 27}
+_STOP_CHECKS = ("on_manifold", "branch_sign", "gradient_norm")
+
+
+@pytest.fixture(scope="module")
+def readme_problem(tmp_path_factory):
+    return cli.resolve_problem(cli.load_config(readme_config(tmp_path_factory.mktemp("r") / "c.json")))
+
+
+@pytest.mark.parametrize("branch", [N_PLUS, N_MINUS])
+def test_a_run_that_stops_on_its_last_allowed_step_is_converged(readme_problem, branch):
+    params = readme_problem.params
+    free = solver.minimize(branch, params, params.grid)
+    assert free.converged and free.iterations == _README_STEPS[branch]
+    capped = solver.minimize(
+        branch, params, params.grid, SolverConfig(max_iters=_README_STEPS[branch])
+    )
+    assert capped.converged and capped.iterations == free.iterations
+    for w in ("u", "v"):
+        got, want = (getattr(r.state, w).values for r in (capped, free))
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(max_iters=st.integers(1, 40), branch=st.sampled_from((N_PLUS, N_MINUS)))
+def test_converged_is_the_stop_rule_of_the_final_state(readme_problem, max_iters, branch):
+    params = readme_problem.params
+    rep = solver.minimize(branch, params, params.grid, SolverConfig(max_iters=max_iters))
+    checks = solver.verify_solution(rep, params, s4=readme_problem.threshold.s4)
+    assert rep.converged == all(c.passed for c in checks if c.name in _STOP_CHECKS)
+    assert rep.iterations == len(rep.history) - 1
+    assert rep.converged == (max_iters >= _README_STEPS[branch])
+
+
+@pytest.mark.parametrize("max_iters, solve_code, check_code", [
+    (27, EXIT_OK, EXIT_OK), (26, EXIT_SOLVER, EXIT_VERIFY),
+])
+def test_solve_and_check_agree_at_the_iteration_cap(tmp_path, max_iters, solve_code, check_code):
+    cfg = str(readme_config(tmp_path / "c.json", max_iters=max_iters))
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == solve_code
+    assert main(["check", "--config", cfg, "--out", out]) == check_code
+
+
+@pytest.mark.parametrize("points, lam", [(49, 1e150), (15, 1e100)])
+def test_a_state_past_float_range_is_a_solver_failure(tmp_path, capsys, points, lam):
+    # the descent leaves float range; no numpy warning (an error under this
+    # suite's filterwarnings) and no exit 2, and a sweep writes its table
+    cfg = str(readme_config(tmp_path / "c.json", points=points, lam1=lam, lam2=lam))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out / "solve")]) == EXIT_SOLVER
+    assert "error: N+ solve failed: " in capsys.readouterr().err
+    args = ["--parameter", "beta", "--values", "0.25,0.5", "--out", str(out / "sweep")]
+    assert main(["sweep", "--config", cfg, *args]) == EXIT_SOLVER
+    rows = (out / "sweep" / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[3:5] == ["nan", "nan"] for row in rows)
+
+
+def _nan_value(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+
+
+def _wrong_header(lines):
+    lines[0] = lines[0].replace(",u,", ",w,")
+
+
+def _dropped_row(lines):
+    del lines[-1]
+
+
+def _text_cell(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_value, _wrong_header, _dropped_row, _text_cell])
+def test_check_names_a_malformed_state_csv(tmp_path, capsys, corrupt):
+    cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    path = Path(out, "bound_state.csv")
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bound_state.csv" in err and "Traceback" not in err
 
 
 def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):

@@ -96,21 +96,23 @@ def test_source_pairing(grid_1d, rng):
 
 
 def test_energy_zero_state(zero_params):
-    e = energy(zero_pair(zero_params.grid), zero_params)
-    assert e.total == 0.0 and e.quadratic == 0.0 and e.quartic == 0.0 and e.source == 0.0
+    p = zero_pair(zero_params.grid)
+    rd = ray(p, zero_params)
+    assert energy(p, zero_params) == 0.0
+    assert rd.norm_sq == 0.0 and rd.quartic == 0.0 and rd.source == 0.0
 
 
 def test_energy_breakdown_identity(grid_1d, zero_params, rng):
     p = random_pair(grid_1d, rng)
-    e = energy(p, zero_params)
-    assert e.total == e.quadratic - e.quartic - e.source
+    rd = ray(p, zero_params)
+    assert energy(p, zero_params) == 0.5 * rd.norm_sq - 0.25 * rd.quartic - rd.source
 
 
 def test_energy_on_manifold_no_sources(grid_1d, zero_params, rng):
     # with B = 0, any retracted state has J = ||p||^2 / 4
     p = retract(random_pair(grid_1d, rng), zero_params, N_MINUS)
     e = energy(p, zero_params)
-    assert e.total == pytest.approx(0.25 * ray(p, zero_params).norm_sq, rel=1e-10)
+    assert e == pytest.approx(0.25 * ray(p, zero_params).norm_sq, rel=1e-10)
 
 
 def test_energy_matches_independent_quadrature(grid_1d, rng):
@@ -136,12 +138,12 @@ def test_energy_matches_independent_quadrature(grid_1d, rng):
     )
     src = (f.values * u).sum() * vol + (g.values * v).sum() * vol
     expected = quad - quart - src
-    e = energy(p, params)
-    assert e.total == pytest.approx(expected, rel=1e-12)
+    assert energy(p, params) == pytest.approx(expected, rel=1e-12)
     # each part on its own: N, A and B of the evaluator
-    assert e.quadratic == pytest.approx(quad, rel=1e-12)
-    assert e.quartic == pytest.approx(quart, rel=1e-12)
-    assert e.source == pytest.approx(src, rel=1e-12)
+    rd = ray(p, params)
+    assert 0.5 * rd.norm_sq == pytest.approx(quad, rel=1e-12)
+    assert 0.25 * rd.quartic == pytest.approx(quart, rel=1e-12)
+    assert rd.source == pytest.approx(src, rel=1e-12)
 
 
 def test_gradient_at_zero_state(grid_1d, rng):
@@ -173,7 +175,7 @@ def test_gradient_matches_finite_differences(grid_1d, rng):
             Field(grid_1d, p.u.values - eps * q.u.values),
             Field(grid_1d, p.v.values - eps * q.v.values),
         )
-        fd = (energy(plus, params).total - energy(minus, params).total) / (2.0 * eps)
+        fd = (energy(plus, params) - energy(minus, params)) / (2.0 * eps)
         assert pairing == pytest.approx(fd, rel=1e-5)
 
 
@@ -230,7 +232,7 @@ def test_energy_identity_on_manifold(rng):
                 p = retract(direction.scaled(-1.0), params, branch)
             rd = ray(p, params)
             assert abs(rd.constraint) <= 1e-10 * rd.norm_sq
-            j = energy(p, params).total
+            j = energy(p, params)
             rhs = 0.25 * rd.norm_sq - 0.75 * rd.source
             assert abs(j - rhs) <= 1e-8 * (1.0 + abs(j))
 
@@ -240,7 +242,7 @@ def test_coercivity_bound_on_manifold(rng):
     coef = 0.75 * math.sqrt(2.0) * s4 * max(l43_norm(params.f), l43_norm(params.g))
     for _ in range(50):
         p = retract(random_pair(grid, rng), params, N_MINUS)
-        j = energy(p, params).total
+        j = energy(p, params)
         norm = math.sqrt(ray(p, params).norm_sq)
         assert j >= 0.25 * norm**2 - coef * norm - 1e-9 * (1.0 + abs(j))
 
@@ -277,7 +279,7 @@ def test_every_functional_is_the_evaluators_value(seed, dim, beta, log_scale):
     params = Params(1.3, 0.7, 2.0, 1.1, beta, f, g)
     p = random_pair(grid, rng, scale=10.0**log_scale)
     rd = ray(p, params)
-    assert energy(p, params).total == rd.energy
+    assert energy(p, params) == rd.energy
     gr = gradient(p, params)
     assert np.array_equal(gr.u.values, rd.gradient[0])
     assert np.array_equal(gr.v.values, rd.gradient[1])
