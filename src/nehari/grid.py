@@ -3,10 +3,10 @@
 Only interior nodes are stored.  A field is identically zero on the boundary
 of the box, so the discrete Laplacian uses zero ghost values and the
 quadrature is the plain interior rectangle rule with weight h1*...*hd.  The
-Dirichlet energy is always evaluated through the stencil, as integrate(w *
-(-lap w)); summation by parts then holds exactly and the discrete energy is
-an exact quadratic-quartic polynomial along every ray, which the fibering
-analysis relies on.
+Dirichlet energy is always evaluated through the stencil, as the quadrature
+of w * (-lap w); summation by parts then holds exactly and the discrete
+energy is an exact quadratic-quartic polynomial along every ray, which the
+fibering analysis relies on.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ __all__ = [
     "Grid",
     "Field",
     "Pair",
-    "laplacian_apply",
-    "integrate",
     "l4_norm4",
     "l43_norm",
     "weighted_norm_sq",
-    "field_from_function",
     "zero_field",
     "first_eigenvector",
     "field_to_csv",
@@ -83,10 +80,6 @@ class Grid:
     def cell_volume(self) -> float:
         """Quadrature weight of one interior node (product of spacings)."""
         return math.prod(self.spacing)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.points
 
     @property
     def size(self) -> int:
@@ -164,20 +157,9 @@ def first_eigenvector(grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def field_from_function(grid: Grid, fn) -> Field:
-    """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at the interior nodes."""
-    coords = grid.node_coords()
-    return Field(grid, np.broadcast_to(fn(*coords), (grid.size,)).astype(float))
-
-
-def _check_on_grid(grid: Grid, w: Field) -> None:
-    if w.grid != grid:
-        raise ValueError("field does not live on the given grid")
-
-
 def laplacian_matvec(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Apply -Delta (second-order centered stencil, zero Dirichlet ghosts)."""
-    v = values.reshape(grid.shape)
+    v = values.reshape(grid.points)
     for axis, h in enumerate(grid.spacing):
         nxt, prev = (np.s_[1:], np.s_[:-1]) if axis == 0 else (np.s_[:, 1:], np.s_[:, :-1])
         term = 2.0 * v
@@ -196,25 +178,13 @@ def sine_modes(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0 / (n + 1)) * np.sin(phase), (2.0 * np.sin(0.5 * phase[0]) / h) ** 2
 
 
-def laplacian_apply(grid: Grid, w: Field) -> Field:
-    """-Delta w with zero boundary values; linear in w."""
-    _check_on_grid(grid, w)
-    return Field(grid, laplacian_matvec(grid, w.values))
-
-
-def integrate(grid: Grid, w: Field) -> float:
-    """Rectangle-rule integral over the box: sum of values times h^dim."""
-    _check_on_grid(grid, w)
-    return float(w.values.sum() * grid.cell_volume)
-
-
 def l4_norm4(w: Field) -> float:
-    """Fourth power of the L4 norm, integrate(w**4)."""
+    """Fourth power of the L4 norm: the rectangle-rule quadrature of w**4."""
     return float((w.values**4).sum() * w.grid.cell_volume)
 
 
 def l43_norm(w: Field) -> float:
-    """L^{4/3} norm, integrate(|w|^{4/3}) ** (3/4)."""
+    """L^{4/3} norm: the quadrature of |w|^{4/3}, to the power 3/4."""
     s = float((np.abs(w.values) ** (4.0 / 3.0)).sum() * w.grid.cell_volume)
     return s**0.75
 
@@ -222,8 +192,8 @@ def l43_norm(w: Field) -> float:
 def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:
     """integral(|grad w|^2 + lam*w^2) of one component's nodal values.
 
-    The gradient term is evaluated as integrate(w * (-lap w)) so it stays
-    exactly consistent with the stencil.
+    The gradient term is evaluated as the quadrature of w * (-lap w) so it
+    stays exactly consistent with the stencil.
     """
     lap = laplacian_matvec(grid, vals)
     return float(((vals * lap).sum() + lam * (vals**2).sum()) * grid.cell_volume)
@@ -291,7 +261,7 @@ def _read_node_csv(grid: Grid, path, value_cols: tuple[str, ...]) -> list[Field]
             raise ValueError(f"expected {len(want)} columns, got {data.shape[1]}")
         # a reordered or foreign-grid file must not load as if it were this grid's
         dim = grid.dim
-        index = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
+        index = np.column_stack(np.unravel_index(np.arange(grid.size), grid.points))
         off = np.abs(data[:, dim : 2 * dim] - np.column_stack(grid.node_coords()))
         for what, wrong in (
             ("index", data[:, :dim] != index),

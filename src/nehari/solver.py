@@ -218,7 +218,7 @@ def _component_positive(values: np.ndarray) -> bool:
     return bool(values.min() >= -_POSITIVITY_SLACK * values.max())
 
 
-def auto_init(branch: str, params: Params, grid: Grid, seed: int) -> Pair:
+def auto_init(branch: str, params: Params, seed: int) -> Pair:
     """Default starting direction for a branch.
 
     N+: the source direction (f, g), whose source pairing is automatically
@@ -236,10 +236,10 @@ def auto_init(branch: str, params: Params, grid: Grid, seed: int) -> Pair:
             )
         return Pair(params.f, params.g).scaled(1.0 / math.sqrt(nsq))
     if branch == N_MINUS:
-        base = first_eigenvector(grid).values
-        noise = np.random.default_rng(seed).standard_normal(grid.size)
+        base = first_eigenvector(params.grid).values
+        noise = np.random.default_rng(seed).standard_normal(base.size)
         w = base + 1e-2 * noise
-        p = Pair(Field(grid, w), Field(grid, w))
+        p = Pair(Field(params.grid, w), Field(params.grid, w))
         return p.scaled(1.0 / math.sqrt(evaluate(params, w, w).norm_sq))
     raise ValueError(f"branch must be {N_PLUS!r} or {N_MINUS!r}, got {branch!r}")
 
@@ -264,7 +264,7 @@ def minimize(
     if params.grid != grid:
         raise ValueError("params sources do not live on the given grid")
     if init is None:
-        init = auto_init(branch, params, grid, cfg.seed)
+        init = auto_init(branch, params, cfg.seed)
 
     solve1, solve2 = _riesz_solves(params)
     noise_rng = np.random.default_rng(cfg.seed + 1)
@@ -432,8 +432,8 @@ def positivity_rescale(report: SolveReport, params: Params) -> SolveReport:
     return new
 
 
-def weak_form_residual(terms, seed: int, n_test_pairs: int) -> float:
-    """Worst relative weak-form residual over seeded random test pairs.
+def weak_form_residual(terms, seed: int) -> float:
+    """Worst relative weak-form residual over _WEAK_FORM_PAIRS seeded random test pairs.
 
     For a test pair (tu, tv) the weak form is the sum of the ten pairings of
     the residual rows with the test functions; the stencil term is paired as
@@ -443,7 +443,7 @@ def weak_form_residual(terms, seed: int, n_test_pairs: int) -> float:
     terms_u, terms_v = terms
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_test_pairs):
+    for _ in range(_WEAK_FORM_PAIRS):
         tu = rng.standard_normal(terms_u.shape[1])
         tv = rng.standard_normal(terms_u.shape[1])
         pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
@@ -537,7 +537,7 @@ def verify_solution(
         f"strong residual {res:.3e} vs {_PDE_RESIDUAL_REL:.0e} * scale {scale:.6g}",
     )
 
-    worst = weak_form_residual(terms, seed, _WEAK_FORM_PAIRS)
+    worst = weak_form_residual(terms, seed)
     add(
         "weak_form",
         worst <= 1e-6,

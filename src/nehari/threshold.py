@@ -26,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import Params, evaluate, polyval
-from .grid import (
-    Grid,
-    Pair,
-    first_eigenvector,
-    l43_norm,
-    laplacian_matvec,
-    weighted_norm_sq,
-)
+from .functional import Params, polyval
+from .grid import Grid, first_eigenvector, l43_norm, laplacian_matvec, weighted_norm_sq
 
-__all__ = ["ThresholdReport", "estimate_s4", "compute_threshold", "check_source_bound"]
+__all__ = ["ThresholdReport", "estimate_s4", "compute_threshold"]
+
+
+_MAX_ASCENT_ITERS = 4000  # the iteration cap of one ascent
+_PROBE_MODES = 4
+_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def _line_ratio(mass, norm, s: float) -> float:
     return float(polyval(mass, s) ** 0.25 / math.sqrt(polyval(norm, s)))
 
 
-def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[float, bool]:
+def _ascend(grid: Grid, lam: float, start: np.ndarray) -> tuple[float, bool]:
     """Maximize |w|_4 on the unit sphere of the lam-weighted norm.
 
     Normalized projected gradient ascent: step along c = w^3, the nodal
@@ -96,7 +94,7 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[
     mass, norm, c, lc = _ascent_line(grid, lam, w, lw)
     obj = _line_ratio(mass, norm, 0.0)
     step, stalls, hit_cap = 1.0, 0, True
-    for _ in range(max_iters):
+    for _ in range(_MAX_ASCENT_ITERS):
         tobj = _line_ratio(mass, norm, step)
         if tobj > obj:
             k = 1.0 / math.sqrt(polyval(norm, step))
@@ -112,11 +110,6 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray, max_iters: int) -> tuple[
                 hit_cap = False
                 break
     return _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam)), hit_cap
-
-
-_MAX_ASCENT_ITERS = 4000  # the iteration cap of one ascent
-_PROBE_MODES = 4
-_PROBES = 16
 
 
 def _smooth_probes(grid: Grid, rng: np.random.Generator):
@@ -158,12 +151,12 @@ def estimate_s4(grid: Grid, lam: float, seed: int = 0) -> float:
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    best, capped = _ascend(grid, lam, first_eigenvector(grid).values, _MAX_ASCENT_ITERS)
+    best, capped = _ascend(grid, lam, first_eigenvector(grid).values)
     vol = grid.cell_volume
     for w in _smooth_probes(grid, np.random.default_rng(seed)):
         ratio = _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam))
         if ratio > best:
-            val, hit_cap = _ascend(grid, lam, w, _MAX_ASCENT_ITERS)
+            val, hit_cap = _ascend(grid, lam, w)
             capped = capped or hit_cap
             best = max(best, val, ratio)
     if capped:
@@ -213,14 +206,3 @@ def compute_threshold(params: Params, grid: Grid, s4: float) -> ThresholdReport:
         degenerate_sources=degenerate,
     )
 
-
-def check_source_bound(p: Pair, params: Params, report: ThresholdReport) -> bool:
-    """Whether B(p) < 2/3 * sqrt(1/(3*A(p))) for a unit-norm pair.
-
-    When report.satisfied is true this must hold for every unit direction;
-    it is meant as a property probe, not a runtime guard.
-    """
-    rd = evaluate(params, p.u.values, p.v.values)
-    if abs(math.sqrt(rd.norm_sq) - 1.0) > 1e-10:
-        raise ValueError("check_source_bound expects a unit-norm pair")
-    return rd.source < (2.0 / 3.0) * math.sqrt(1.0 / (3.0 * rd.quartic))

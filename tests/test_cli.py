@@ -663,6 +663,29 @@ def test_converged_is_the_stop_rule_of_the_final_state(readme_problem, max_iters
     assert rep.converged == (max_iters >= _README_STEPS[branch])
 
 
+def test_a_line_search_with_no_acceptable_step_stops_the_descent(tmp_path, monkeypatch):
+    # with no energy-noise slack, N- at beta 0.25 and seed 1 finds no step that
+    # lowers J after 16 steps, short of grad_tol: it stops there, unconverged
+    monkeypatch.setattr(solver, "_ENERGY_NOISE_REL", 0.0)
+    cfg = cli.load_config(readme_config(tmp_path / "c.json", beta=0.25))
+    problem = cli.resolve_problem(cfg, seed=1)
+    params, solver_cfg = problem.params, problem.solver_cfg
+    rep = solver.minimize(N_MINUS, params, params.grid, solver_cfg)
+    assert (rep.iterations, len(rep.history), rep.converged) == (16, 17, False)
+    assert rep.grad_norm == pytest.approx(1.3768e-8, rel=1e-4)
+
+    def state_bytes(max_iters):
+        capped = solver.minimize(
+            N_MINUS, params, params.grid, replace(solver_cfg, max_iters=max_iters)
+        )
+        return capped.state.u.values.tobytes() + capped.state.v.values.tobytes()
+
+    assert state_bytes(16) == rep.state.u.values.tobytes() + rep.state.v.values.tobytes()
+    assert state_bytes(15) != state_bytes(16)
+    checks = solver.verify_solution(rep, params, s4=problem.threshold.s4, seed=1)
+    assert [c.name for c in checks if not c.passed] == ["gradient_norm"]
+
+
 @pytest.mark.parametrize("max_iters, solve_code, check_code", [
     (27, EXIT_OK, EXIT_OK), (26, EXIT_SOLVER, EXIT_VERIFY),
 ])

@@ -11,7 +11,6 @@ from nehari.grid import (
     Field,
     Pair,
     Grid,
-    integrate,
     l4_norm4,
     l43_norm,
     zero_field,

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -25,3 +26,18 @@ def test_library_modules_load_neither_the_solver_nor_scipy(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["grid", "functional", "fibering", "threshold", "solver", "reports", "cli"],
+)
+def test_all_names_what_the_module_defines(module):
+    # a library module's __all__ is its list of public names: each must exist,
+    # so a star import works; cli declares none, so it needs only the import
+    mod = importlib.import_module(f"nehari.{module}")
+    names = getattr(mod, "__all__", ()) if module == "cli" else mod.__all__
+    assert [name for name in names if not hasattr(mod, name)] == []
+    namespace = {}
+    exec(f"from nehari.{module} import *", namespace)
+    assert set(names) <= set(namespace)

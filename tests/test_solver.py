@@ -167,17 +167,17 @@ def test_positivity_rescale_requires_nonnegative_sources(solved, grid_1d):
 
 
 def test_auto_init_source_direction(small_problem):
-    grid, params, _s4, _rep = small_problem
-    init = auto_init(N_PLUS, params, grid, seed=0)
+    _grid, params, _s4, _rep = small_problem
+    init = auto_init(N_PLUS, params, seed=0)
     assert ray(init, params).source > 0.0
     assert ray(init, params).norm_sq == pytest.approx(1.0, rel=1e-12)
 
 
-def test_auto_init_rejects_zero_sources(grid_1d, zero_params):
+def test_auto_init_rejects_zero_sources(zero_params):
     with pytest.raises(ValueError):
-        auto_init(N_PLUS, zero_params, grid_1d, seed=0)
+        auto_init(N_PLUS, zero_params, seed=0)
     # the bound-state branch start always exists
-    init = auto_init(N_MINUS, zero_params, grid_1d, seed=0)
+    init = auto_init(N_MINUS, zero_params, seed=0)
     retract(init, zero_params, N_MINUS)
 
 
@@ -186,8 +186,8 @@ def test_seeds_agree_on_bound_state_energy():
     a = minimize(N_MINUS, params, grid, SolverConfig(seed=0))
     b = minimize(N_MINUS, params, grid, SolverConfig(seed=1))
     assert a.converged and b.converged
-    gap = np.abs(auto_init(N_MINUS, params, grid, 0).u.values
-                 - auto_init(N_MINUS, params, grid, 1).u.values).max()
+    gap = np.abs(auto_init(N_MINUS, params, 0).u.values
+                 - auto_init(N_MINUS, params, 1).u.values).max()
     assert gap > 0.0  # the starts genuinely differ
     assert b.theta == pytest.approx(a.theta, rel=1e-6)
 
@@ -436,7 +436,7 @@ def test_float_horner_equals_polyval(coefs, log_eta):
 def test_line_trial_evaluates_like_polyval(small_problem):
     # the trial on float Horner values equals the trial on polyval's values
     grid, params, _s4, _rep = small_problem
-    p = auto_init(N_MINUS, params, grid, 3)
+    p = auto_init(N_MINUS, params, 3)
     rd = evaluate(params, p.u.values, p.v.values)
     solve1, solve2 = _riesz_solves(params)
     polys, _slope = _line_polynomials(rd, solve1(rd.residual[0]), solve2(rd.residual[1]), params)
@@ -490,7 +490,7 @@ def test_weak_form_residual_matches_per_pair_reference(rng):
     p = random_pair(grid, rng)
     u, v = p.u.values, p.v.values
     rd = evaluate(params, u, v)
-    got = weak_form_residual((rd.terms_u, rd.terms_v), seed=7, n_test_pairs=20)
+    got = weak_form_residual((rd.terms_u, rd.terms_v), seed=7)
 
     # the stencil applied to every test function, one pair at a time
     draws = np.random.default_rng(7)
