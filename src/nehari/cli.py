@@ -100,15 +100,15 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
     kind = spec["kind"]
     if kind == "csv":
         if "path" not in spec:
-            raise ConfigError(f"{where}: csv source needs a 'path'")
+            raise ConfigError(f"config error at {where}.path: a csv source needs a path")
         try:
             return field_from_csv(grid, spec["path"])
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"config error at {where}.path: {exc}") from exc
     num = {}
     for key in _SOURCE_NUMBERS[kind]:
         if key not in spec:
-            raise ConfigError(f"{where}: {kind} source needs '{key}'")
+            raise ConfigError(f"config error at {where}.{key}: required for a {kind} source")
         num[key] = np.asarray(spec[key], dtype=float)
         if not np.isfinite(num[key]).all():
             raise ConfigError(f"config error at {where}.{key}: must be finite, got {spec[key]}")
@@ -118,9 +118,9 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
         return first_eigenvector(grid).scaled(float(num["amplitude"]))
     center, width = np.atleast_1d(num["center"]), float(num["width"])
     if center.shape != (grid.dim,):
-        raise ConfigError(f"{where}: gaussian center must have {grid.dim} entries")
+        raise ConfigError(f"config error at {where}.center: must have {grid.dim} entries")
     if not width > 0:
-        raise ConfigError(f"{where}: gaussian width must be positive, got {width}")
+        raise ConfigError(f"config error at {where}.width: must be positive, got {width}")
     r2 = sum((c - center[k]) ** 2 for k, c in enumerate(grid.node_coords()))
     return Field(grid, float(num["amplitude"]) * np.exp(-r2 / (2.0 * width**2)))
 
@@ -356,6 +356,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fibering(args) -> int:
+    if args.direction == "csv" and not (args.u and args.v):
+        raise ConfigError("csv direction needs --u and --v field files")
     params = _resolve(args, load_config(args.config)).params
     if args.direction == "sources":
         direction = Pair(params.f, params.g)
@@ -363,8 +365,6 @@ def cmd_fibering(args) -> int:
         e = first_eigenvector(params.grid)
         direction = Pair(e, e)
     else:
-        if not (args.u and args.v):
-            raise ConfigError("csv direction needs --u and --v field files")
         direction = Pair(field_from_csv(params.grid, args.u), field_from_csv(params.grid, args.v))
     doc = fibering_to_dict(analyze_direction(direction, params))  # main maps a ValueError to 2
     validate(doc, load_schema("fibering_analysis"))
@@ -399,9 +399,9 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"invalid sweep values {args.values!r}: {exc}") from exc
+        raise ConfigError(f"invalid --values {args.values!r}: {exc}") from exc
     if not values:
-        raise ConfigError("sweep needs at least one value")
+        raise ConfigError(f"--values needs at least one value, got {args.values!r}")
     if len(set(values)) < len(values):  # one directory per value, so each value once
         raise ConfigError(f"sweep values must not repeat, got {args.values!r}")
     if args.jobs < 1:

@@ -69,18 +69,6 @@ class Root(NamedTuple):
 class NoSuchBranch(Exception):
     """The requested manifold branch has no root along this direction."""
 
-    def __init__(self, target, norm_sq, quartic, source, psi_max):
-        self.target = target
-        self.norm_sq = norm_sq
-        self.quartic = quartic
-        self.source = source
-        self.psi_max = psi_max
-        super().__init__(
-            f"no {target} root along this direction "
-            f"(norm_sq={norm_sq:.6g}, A={quartic:.6g}, B={source:.6g}, "
-            f"psi_max={psi_max:.6g})"
-        )
-
 
 @dataclass(frozen=True)
 class FiberingAnalysis:
@@ -158,7 +146,10 @@ def branch_root(ana: FiberingAnalysis, target: str) -> float:
     for root in ana.roots:
         if root.branch == target:
             return root.t
-    raise NoSuchBranch(target, ana.norm_sq, ana.quartic, ana.source, ana.psi_max)
+    raise NoSuchBranch(
+        f"no {target} root along this direction (norm_sq={ana.norm_sq:.6g}, "
+        f"A={ana.quartic:.6g}, B={ana.source:.6g}, psi_max={ana.psi_max:.6g})"
+    )
 
 
 def retract(p: Pair, params: Params, target: str) -> Pair:

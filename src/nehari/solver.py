@@ -40,10 +40,10 @@ import scipy.sparse.linalg as spla
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
 from .functional import Params, RayData, energy, evaluate, gradient, max_norm, polyval
 from .grid import Field, Grid, Pair, first_eigenvector, l43_norm, sine_modes
-# unused here since functional.evaluate applies the stencil, but bound on purpose:
-# perfbench's test_wrappers_reach_every_import_site_and_are_removed reads it
+# unused here (evaluate applies the stencil, verify_solution is given s4), but bound
+# on purpose: perfbench's test_wrappers_reach_every_import_site_and_are_removed reads both
 from .grid import laplacian_matvec  # noqa: F401
-from .threshold import estimate_s4
+from .threshold import estimate_s4  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -58,6 +58,7 @@ __all__ = [
     "verify_solution",
 ]
 
+_NEHARI_TOL = 1e-10  # relative constraint residual |Phi|/||p||^2 of a converged state
 _POSITIVITY_SLACK = 1e-10
 _COLLAPSE_REL = 1e-8
 _NOISE_REL = 1e-4
@@ -87,14 +88,13 @@ class SemiTrivialCollapse(RuntimeError):
 class SolverConfig:
     max_iters: int = 50_000
     grad_tol: float = 1e-8  # absolute max-norm of the nodal gradient
-    nehari_tol: float = 1e-10  # relative constraint residual |Phi|/||p||^2
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (self.grad_tol > 0 and self.nehari_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def _stop_checks(rd: RayData, cfg: SolverConfig, branch: str) -> list[CheckResul
     """The stop rule: on the manifold, on the branch and below grad_tol."""
     on_branch = rd.indicator > 0 if branch == N_PLUS else rd.indicator < 0
     return [
-        CheckResult("on_manifold", rd.nehari_residual <= cfg.nehari_tol,
-                    f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {cfg.nehari_tol:.1e})"),
+        CheckResult("on_manifold", rd.nehari_residual <= _NEHARI_TOL,
+                    f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {_NEHARI_TOL:.1e})"),
         CheckResult("branch_sign", on_branch, f"branch {branch} with indicator {rd.indicator:.6g}"),
         CheckResult("gradient_norm", rd.grad_norm <= cfg.grad_tol,
                     f"max nodal gradient {rd.grad_norm:.3e} (tol {cfg.grad_tol:.1e})"),
@@ -424,7 +424,7 @@ def positivity_rescale(report: SolveReport, params: Params) -> SolveReport:
         Field(grid, np.abs(report.state.v.values)),
     )
     new = minimize(report.branch, params, grid, report.config, init=abs_pair)
-    if new.theta > report.theta + report.config.nehari_tol:
+    if new.theta > report.theta + _NEHARI_TOL:
         raise RuntimeError(
             f"positivity rescale raised the energy: {new.theta!r} vs "
             f"{report.theta!r}; this contradicts the absolute-value comparison"
@@ -456,15 +456,15 @@ def weak_form_residual(terms, seed: int) -> float:
 def verify_solution(
     report: SolveReport,
     params: Params,
-    s4: float | None = None,
+    s4: float,
     seed: int = 0,
 ) -> list[CheckResult]:
     """Re-derive every report invariant from scratch; failures are listed.
 
     Recomputes all functionals with fresh quadrature, checks both components
     are nonzero, the on-manifold energy identity, the coercivity lower bound
-    (with the supplied or freshly estimated Sobolev constant), and the weak
-    form against random test pairs.  The tolerances are report.config's;
+    (with the supplied Sobolev constant s4), and the weak form against random
+    test pairs.  The tolerances are report.config's and the solver's;
     every check runs whatever report.converged says.
     """
     checks: list[CheckResult] = []
@@ -519,8 +519,6 @@ def verify_solution(
         f"|J - (||p||^2/4 - 3B/4)| = {identity_res:.3e}",
     )
 
-    if s4 is None:
-        s4 = estimate_s4(p.grid, min(params.lam1, params.lam2), seed=seed)
     coercive_floor = 0.25 * nsq - (3.0 * math.sqrt(2.0) / 4.0) * s4 * max(
         l43_norm(params.f), l43_norm(params.g)
     ) * norm

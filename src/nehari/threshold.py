@@ -177,11 +177,8 @@ def compute_threshold(params: Params, grid: Grid, s4: float) -> ThresholdReport:
     and never count as satisfied, since the two-solution statement assumes
     both sources nonzero.
     """
-    if params.beta > 0:
-        c = max(params.mu1, params.mu2, params.beta)
-    else:
-        # nonpositive coupling makes the cross term nonpositive
-        c = max(params.mu1, params.mu2)
+    # Params enforces mu1, mu2 > 0, so a nonpositive beta never wins the max
+    c = max(params.mu1, params.mu2, params.beta)
     sup_a = c * s4**4  # s4 shrinks like lam^(-1/2): s4**4 underflows at lam 1e200
     if not (s4 > 0 and sup_a > 0):
         raise ValueError(

@@ -756,6 +756,12 @@ def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
         write_json(doc, path)
         assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK, key
         assert capsys.readouterr().out == before, key
+    # a report of the older format, whose config still carries nehari_tol
+    doc = read_json(path)
+    doc["config"]["nehari_tol"] = 1e-10
+    write_json(doc, path)
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "nehari_tol" in capsys.readouterr().err
 
 
 def test_load_schema_returns_a_fresh_dict_of_text_read_once():
@@ -825,7 +831,7 @@ def solve_reports(draw):
     state = Pair(Field(grid, [0.1, 0.2, 0.3]), Field(grid, [0.3, 0.2, 0.1]))
     config = SolverConfig(
         max_iters=draw(st.integers(1, 10**9)), grad_tol=draw(_POSITIVE),
-        nehari_tol=draw(_POSITIVE), seed=draw(st.integers(0, 2**64)),
+        seed=draw(st.integers(0, 2**64)),
     )
     return SolveReport(
         branch=draw(st.sampled_from((N_PLUS, N_MINUS))), state=state,
@@ -881,6 +887,7 @@ def test_dumps_rejects_non_finite_floats(x, tmp_path):
         ("armijo_factor", 0.5),
         ("armijo_slope", 1e-4),
         ("initial_step", 1.0),
+        ("nehari_tol", 1e-10),
         ("seed", 0),
     ],
 )
@@ -943,11 +950,17 @@ def test_non_finite_config_numbers_are_config_errors(
         ({"kind": "gaussian", "center": [0.5], "width": {}, "amplitude": 1.0}, "width"),
         ({"kind": "gaussian", "center": [0.5], "width": "abc", "amplitude": 1.0}, "width"),
         ({"kind": "eigen", "amplitude": True}, "amplitude"),
+        ({"kind": "csv"}, "path"),
+        ({"kind": "gaussian", "center": [0.5], "width": 0.1}, "amplitude"),
+        ({"kind": "gaussian", "center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0}, "center"),
+        ({"kind": "gaussian", "center": [0.5], "width": 0.0, "amplitude": 1.0}, "width"),
+        ({"kind": "gaussian", "center": [0.5], "width": -0.1, "amplitude": 1.0}, "width"),
     ],
     ids=["constant-value", "gaussian-center", "gaussian-width", "gaussian-amplitude",
          "eigen-amplitude", "constant-value-list", "csv-path-int", "csv-path-null",
          "eigen-kind-list", "gaussian-width-object", "gaussian-width-string",
-         "eigen-amplitude-bool"],
+         "eigen-amplitude-bool", "csv-no-path", "gaussian-no-amplitude",
+         "gaussian-center-length", "gaussian-width-zero", "gaussian-width-negative"],
 )
 @pytest.mark.parametrize("command", ["solve", "threshold"])
 def test_bad_source_numbers_are_config_errors(
@@ -973,7 +986,7 @@ def test_bad_source_numbers_are_config_errors(
     else:
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert f"sources.g.{key}" in err
+    assert err.startswith("error: ") and f"sources.g.{key}" in err
     assert calls == [] and not out.exists()
 
 
@@ -993,16 +1006,45 @@ def test_unknown_source_key_is_config_error(tmp_path, monkeypatch, capsys, comma
 @pytest.mark.parametrize(
     "edit, flags, key",
     [({"seed": -1}, [], "seed"), ({}, ["--seed", "-5"], "seed"),
-     ({"branch_seeds": [0, -3]}, [], "branch_seeds")],
-    ids=["config-seed", "flag-seed", "branch-seeds"],
+     ({"branch_seeds": [0, -3]}, [], "branch_seeds"), ({"branch_seeds": []}, [], "branch_seeds")],
+    ids=["config-seed", "flag-seed", "branch-seeds", "branch-seeds-empty"],
 )
 def test_negative_seeds_are_config_errors(tmp_path, monkeypatch, capsys, edit, flags, key):
     cfg = write_config(tmp_path / "c.json", **edit)
     calls = count_s4_estimates(monkeypatch)
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CONFIG
-    assert f"config error at {key}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: config error at {key}:")
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, argv, name",
+    [
+        ({}, ["solve", "--config", "missing.json"], "missing.json"),
+        ({"sources": {"f": {"kind": "constant", "value": 0.0},
+                      "g": {"kind": "constant", "value": 0.0},
+                      "autoscale": {"rho": 0.5}}}, ["solve"], "at sources:"),
+        ({}, ["fibering", "--direction", "csv"], "--u and --v"),
+        ({}, ["fibering", "--direction", "csv", "--u", "u.csv"], "--u and --v"),
+        ({}, ["sweep", "--parameter", "beta", "--values", "0.5,abc"], "--values"),
+        ({}, ["sweep", "--parameter", "beta", "--values", " , "], "--values"),
+    ],
+    ids=["missing-config", "autoscale-zero-sources", "fibering-csv-no-files",
+         "fibering-csv-no-v", "sweep-values-unparsable", "sweep-values-empty"],
+)
+def test_config_and_flag_errors_stop_before_any_work(
+    tmp_path, monkeypatch, capsys, edit, argv, name
+):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.json", **edit)
+    if "--config" not in argv:
+        argv = [argv[0], "--config", "c.json", *argv[1:]]
+    calls = count_s4_estimates(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert calls == [] and os.listdir(tmp_path) == ["c.json"]
 
 
 def test_missing_direction_file_is_exit_2(config, tmp_path, capsys):

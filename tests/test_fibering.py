@@ -269,9 +269,7 @@ def test_retract_error_carries_ray_data(grid_1d, zero_params, rng):
     p = random_pair(grid_1d, rng)
     with pytest.raises(NoSuchBranch) as excinfo:
         retract(p, zero_params, N_PLUS)
-    err = excinfo.value
-    assert err.psi_max > 0.0
-    assert err.norm_sq == pytest.approx(ray(p, zero_params).norm_sq, rel=1e-14)
+    assert f"norm_sq={ray(p, zero_params).norm_sq:.6g}," in str(excinfo.value)
     with pytest.raises(ValueError):
         retract(p, zero_params, "N0")
 

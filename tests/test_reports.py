@@ -8,6 +8,7 @@ it must accept exactly what ``jsonschema`` accepts.
 import copy
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -121,6 +122,15 @@ def accepts(doc, schema) -> bool:
     except SchemaError:
         return False
     return True
+
+
+def test_validate_names_a_value_outside_its_enum():
+    doc = copy.deepcopy(CONFIG)
+    doc["grid"]["dim"] = 3
+    schema = load_schema("problem_config")
+    assert not jsonschema.Draft202012Validator(schema).is_valid(doc)
+    with pytest.raises(SchemaError, match=re.escape("$.grid.dim: 3 not in [1, 2]")):
+        validate(doc, schema)
 
 
 def test_run_documents_pass_both_validators(documents):

@@ -64,7 +64,7 @@ def test_both_branches_converge(solved):
     for rep in (plus, minus):
         assert rep.converged
         assert rep.grad_norm <= rep.config.grad_tol
-        assert rep.nehari_residual <= rep.config.nehari_tol
+        assert rep.nehari_residual <= solver._NEHARI_TOL
         assert rep.pde_residual <= 1e-6 * rep.pde_scale
     assert plus.classification_value > 0.0
     assert minus.classification_value < 0.0
@@ -138,7 +138,7 @@ def test_minimality_against_random_retractions(solved, rng):
 def test_positivity_rescale_fixed_point(solved):
     _grid, params, _s4, plus, _minus = solved
     again = positivity_rescale(plus, params)
-    assert again.theta <= plus.theta + plus.config.nehari_tol
+    assert again.theta <= plus.theta + solver._NEHARI_TOL
     assert again.positive == (True, True)
     gap = np.abs(again.state.u.values - plus.state.u.values).max()
     assert gap <= 1e-6 * np.abs(plus.state.u.values).max()
@@ -153,7 +153,7 @@ def test_positivity_rescale_flipped_component(small_problem):
     rep = minimize(N_MINUS, params, grid, init=start)
     out = positivity_rescale(rep, params)
     assert out.positive == (True, True)
-    assert out.theta <= rep.theta + rep.config.nehari_tol
+    assert out.theta <= rep.theta + solver._NEHARI_TOL
 
 
 def test_positivity_rescale_requires_nonnegative_sources(solved, grid_1d):
@@ -224,13 +224,13 @@ def test_minimize_over_seeds_returns_best_without_disagreement(small_problem):
 def test_symmetry_breaking_lowers_bound_state_at_strong_repulsion():
     # near the coupling floor the symmetric bound state is a saddle; the
     # descent amplifies rounding-level asymmetry and lands strictly lower
-    grid, params, _s4, rep = build_problem(n=99, beta=-0.75)
+    grid, params, s4, rep = build_problem(n=99, beta=-0.75)
     assert rep.satisfied
     out = minimize(N_MINUS, params, grid)
     assert out.converged
     gap = np.abs(out.state.u.values - out.state.v.values).max()
     assert gap > 0.1 * np.abs(out.state.u.values).max()
-    checks = verify_solution(out, params)
+    checks = verify_solution(out, params, s4=s4)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
@@ -249,13 +249,87 @@ def test_branch_vanished_past_threshold():
         minimize(N_PLUS, params, grid)
 
 
-def test_semi_trivial_collapse_without_second_source():
+def _collapsing_start():
+    """A g = 0 problem whose start has v = 0: grid, params and init."""
     grid = Grid(1, (1.0,), (99,))
     e = first_eigenvector(grid)
     params = Params(1.0, 1.0, 1.0, 1.0, 0.1, e.scaled(0.5), zero_field(grid))
-    init = Pair(e, zero_field(grid))
+    return grid, params, Pair(e, zero_field(grid))
+
+
+def test_semi_trivial_collapse_without_second_source():
+    grid, params, init = _collapsing_start()
     with pytest.raises(SemiTrivialCollapse):
         minimize(N_PLUS, params, grid, init=init)
+
+
+def test_a_noise_restart_that_loses_the_root_is_branch_vanished(monkeypatch):
+    # the first retract places the start, the second the kicked collapsed state
+    grid, params, init = _collapsing_start()
+    real, calls = solver.retract, []
+
+    def lose_the_second(p, prm, target):
+        calls.append(target)
+        if len(calls) == 2:
+            raise NoSuchBranch(f"no {target} root along this direction")
+        return real(p, prm, target)
+
+    monkeypatch.setattr(solver, "retract", lose_the_second)
+    with pytest.raises(BranchVanished, match=r"noise restart left the N\+ root region"):
+        minimize(N_PLUS, params, grid, init=init)
+    assert calls == [N_PLUS, N_PLUS]
+
+
+@pytest.fixture(scope="module")
+def problem_49():
+    return build_problem(n=49)
+
+
+def test_trial_steps_that_lose_the_root_are_shortened(problem_49, monkeypatch):
+    # a trial that loses the branch root is halved like one that raises the
+    # energy: losing eta = 1 and 0.5 on every step still converges
+    grid, params, s4, _rep = problem_49
+    real, lost = solver._line_trial, []
+
+    def trial(branch, polys, eta):
+        if eta > 0.3:
+            lost.append(eta)
+            raise NoSuchBranch(f"no {branch} root along this direction")
+        return real(branch, polys, eta)
+
+    monkeypatch.setattr(solver, "_line_trial", trial)
+    for branch, steps in ((N_PLUS, 41), (N_MINUS, 83)):
+        lost.clear()
+        rep = minimize(branch, params, grid)
+        assert rep.converged and rep.iterations == steps
+        assert lost == [1.0, 0.5] * steps
+        checks = verify_solution(rep, params, s4=s4)
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_a_line_search_that_loses_every_root_is_branch_vanished(problem_49, monkeypatch):
+    grid, params, _s4, _rep = problem_49
+
+    def trial(branch, polys, eta):
+        raise NoSuchBranch(f"no {branch} root along this direction")
+
+    monkeypatch.setattr(solver, "_line_trial", trial)
+    with pytest.raises(BranchVanished, match=r"every trial step lost the N\+ root"):
+        minimize(N_PLUS, params, grid)
+
+
+@pytest.mark.parametrize("branch", [N_PLUS, N_MINUS])
+def test_positivity_rescale_reminimizes_a_sign_flipped_state(problem_49, branch):
+    # |(-u, v)| is the converged state itself, so the re-minimisation takes no step
+    grid, params, s4, _rep = problem_49
+    rep = minimize(branch, params, grid)
+    flipped = replace(rep, state=Pair(rep.state.u.scaled(-1.0), rep.state.v))
+    out = positivity_rescale(flipped, params)
+    assert out is not flipped
+    assert out.converged and out.iterations == 0 and out.positive == (True, True)
+    assert out.theta == pytest.approx(rep.theta, rel=1e-12)
+    checks = verify_solution(out, params, s4=s4)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_small_2d_solve():

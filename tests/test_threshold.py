@@ -204,6 +204,21 @@ def test_threshold_beta_sign_switch():
     assert neg.sup_A_bound == 1.0 * s4**4  # cross term dropped when negative
 
 
+@pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 0.5, 1.0, 2.0])
+def test_coupling_constant_equals_the_two_armed_reference(beta):
+    # the reference drops a nonpositive beta, whose cross term is nonpositive
+    g = Grid(1, (1.0,), (49,))
+    z = zero_field(g)
+    s4 = 0.34
+    c = max(1.0, 2.0, beta) if beta > 0 else max(1.0, 2.0)
+    sup_a = c * s4**4
+    alpha = (2.0 / 3.0) * math.sqrt(1.0 / (3.0 * sup_a))
+    rep = compute_threshold(Params(1.0, 1.0, 1.0, 2.0, beta, z, z), g, s4)
+    assert (rep.sup_A_bound, rep.alpha, rep.lambda_threshold) == (
+        sup_a, alpha, alpha / (math.sqrt(2.0) * s4)
+    )
+
+
 def test_threshold_zero_sources_are_degenerate():
     g = Grid(1, (1.0,), (49,))
     z = zero_field(g)
