@@ -7,8 +7,9 @@ verification of ``solve`` (``verify_run``) on both saved reports.  Exit
 codes are stable so scripts can branch on the failure class:
 
     0  success
-    2  config error (parse or validation), or a file that cannot be read
-       or written (a missing field file, solve report or state CSV)
+    2  config error, or a file that cannot be read or written (a missing
+       field file, solve report or state CSV), or a config or saved report
+       that is not UTF-8, not JSON or not valid under its schema
     3  source hypothesis not satisfied (smallness or zero source)
     4  solver failure (non-convergence, lost branch, a state past float range)
     5  verification failure
@@ -17,7 +18,6 @@ codes are stable so scripts can branch on the failure class:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -39,7 +39,7 @@ from .grid import (
     pair_from_csv,
     pair_to_csv,
 )
-from .reports import SchemaError, dumps, load_schema, validate, write_json
+from .reports import dumps, read_json, write_json
 from .solver import (
     CheckResult,
     SolveReport,
@@ -71,20 +71,7 @@ class Problem:
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        validate(cfg, load_schema("problem_config"))
-    except SchemaError as exc:
-        raise ConfigError(f"config does not match schema: {exc}") from exc
-    return cfg
+    return read_json(path, "problem_config")
 
 
 # the numbers each computed source kind needs
@@ -236,11 +223,6 @@ def fibering_to_dict(ana) -> dict:
     }
 
 
-def _write_validated(obj: dict, schema_name: str, path) -> None:
-    validate(obj, load_schema(schema_name))
-    write_json(obj, path)
-
-
 # --- the solve pipeline (shared by solve and sweep) and its verification -----
 
 
@@ -273,7 +255,7 @@ def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
     """
     os.makedirs(out_dir, exist_ok=True)
     threshold = problem.threshold
-    _write_validated(asdict(threshold), "threshold_report", os.path.join(out_dir, "threshold.json"))
+    write_json(asdict(threshold), "threshold_report", os.path.join(out_dir, "threshold.json"))
     if threshold.degenerate_sources:
         print(
             "error: the two-solution statement assumes both source terms are "
@@ -309,17 +291,14 @@ def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
             return EXIT_SOLVER, {}
         reports[stem] = rep
         pair_to_csv(rep.state, os.path.join(out_dir, f"{stem}.csv"))
-        _write_validated(
-            solve_report_to_dict(rep, f"{stem}.csv", seed_disagreement=disagree),
-            "solve_report",
-            os.path.join(out_dir, f"{stem}.json"),
-        )
+        saved = solve_report_to_dict(rep, f"{stem}.csv", seed_disagreement=disagree)
+        write_json(saved, "solve_report", os.path.join(out_dir, f"{stem}.json"))
 
     checks = verify_run(problem, reports)
     failed = [name for name, c in _named_checks(checks) if not c.passed]
     doc = {part: [asdict(c) for c in cs] for part, cs in checks.items()}
     doc["all_passed"] = not failed
-    _write_validated(doc, "checks", os.path.join(out_dir, "checks.json"))
+    write_json(doc, "checks", os.path.join(out_dir, "checks.json"))
 
     if not all(rep.converged for rep in reports.values()):
         print("error: solver did not converge on both branches", file=sys.stderr)
@@ -347,11 +326,10 @@ def cmd_solve(args) -> int:
 
 def cmd_threshold(args) -> int:
     doc = asdict(_resolve(args, load_config(args.config)).threshold)
-    validate(doc, load_schema("threshold_report"))
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(dumps(doc, "threshold_report"))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_json(doc, os.path.join(args.out, "threshold.json"))
+        write_json(doc, "threshold_report", os.path.join(args.out, "threshold.json"))
     return EXIT_OK
 
 
@@ -367,8 +345,7 @@ def cmd_fibering(args) -> int:
     else:
         direction = Pair(field_from_csv(params.grid, args.u), field_from_csv(params.grid, args.v))
     doc = fibering_to_dict(analyze_direction(direction, params))  # main maps a ValueError to 2
-    validate(doc, load_schema("fibering_analysis"))
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(dumps(doc, "fibering_analysis"))
     return EXIT_OK
 
 
@@ -376,8 +353,8 @@ def _sweep_slug(parameter: str, value: float) -> str:
     return f"sweep_{parameter}_{format(value, '.17g')}"
 
 
-def _sweep_row(value: float, threshold: ThresholdReport, reports: dict) -> str:
-    """One sweep.csv line; a value without both reports keeps nan thetas and false flags."""
+def _sweep_row(value: float, code: int, threshold: ThresholdReport, reports: dict) -> str:
+    """One sweep.csv line, exit code last; a value without both reports keeps nan and false."""
     if reports:
         plus, minus = reports["ground_state"], reports["bound_state"]
         thetas = (plus.theta, minus.theta)
@@ -390,6 +367,7 @@ def _sweep_row(value: float, threshold: ThresholdReport, reports: dict) -> str:
         str(bool(threshold.satisfied)).lower(),
         *(fmt % x for x in (threshold.lambda_threshold, *thetas)),
         *(str(bool(b)).lower() for b in flags),
+        str(code),
     ]
     return ",".join(row) + "\n"
 
@@ -423,13 +401,13 @@ def cmd_sweep(args) -> int:
         results = (pool.map if pool else map)(run_solve, problems, out_dirs)
         for value, problem, (code, reports) in zip(values, problems, results):
             codes.append(code)
-            rows.append(_sweep_row(value, problem.threshold, reports))
+            rows.append(_sweep_row(value, code, problem.threshold, reports))
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(
             "value,satisfied,lambda_threshold,theta_plus,theta_minus,"
             "converged_plus,converged_minus,positive_plus_u,positive_plus_v,"
-            "positive_minus_u,positive_minus_v\n"
+            "positive_minus_u,positive_minus_v,code\n"
         )
         fh.writelines(rows)
     return max(codes)
@@ -441,9 +419,7 @@ def cmd_check(args) -> int:
     out_dir = args.out or cfg.get("output_dir", "out")
     reports = {}
     for stem in ("ground_state", "bound_state"):
-        with open(os.path.join(out_dir, f"{stem}.json"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        validate(doc, load_schema("solve_report"))
+        doc = read_json(os.path.join(out_dir, f"{stem}.json"), "solve_report")
         state = pair_from_csv(problem.params.grid, os.path.join(out_dir, doc["state_csv"]))
         reports[stem] = solve_report_from_dict(doc, state, problem.solver_cfg)
     named = _named_checks(verify_run(problem, reports), sep=" ")

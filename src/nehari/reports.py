@@ -1,13 +1,15 @@
-"""Deterministic JSON report emission and lightweight schema validation.
+"""Deterministic JSON reading and writing, and lightweight schema validation.
 
-Reports must be byte-identical for identical inputs: ``json.dumps`` keeps
-insertion order and writes each float as its shortest repr, which reads back
-as the same float (and ``1.0`` stays a float).  NaN and infinities are not
-JSON, so they raise instead of being written.  Each report kind has a schema
-file shipped under ``nehari/schemas``, whose ``required`` list gives its keys
-in the order they are written; the validator below covers the subset of JSON
-Schema those files use (type, properties, required, items, enum,
-additionalProperties, and $ref to a definition under the root's $defs).
+Every JSON document the package writes or reads is validated against its
+named schema here.  Reports must be byte-identical for identical inputs:
+``json.dumps`` keeps insertion order and writes each float as its shortest
+repr, which reads back as the same float (and ``1.0`` stays a float).  NaN
+and infinities are not JSON, so they raise instead of being written.  Each
+report kind has a schema file shipped under ``nehari/schemas``, whose
+``required`` list gives its keys in the order they are written; the validator
+below covers the subset of JSON Schema those files use (type, properties,
+required, items, enum, additionalProperties, and $ref to a definition under
+the root's $defs).
 """
 
 from __future__ import annotations
@@ -16,23 +18,37 @@ import functools
 import json
 from importlib import resources
 
-__all__ = ["dumps", "write_json", "load_schema", "validate", "SchemaError"]
+__all__ = ["dumps", "write_json", "read_json", "load_schema", "validate", "SchemaError"]
 
 
 class SchemaError(ValueError):
     pass
 
 
-def dumps(obj) -> str:
-    """Indented JSON text of a report; NaN and infinities raise ValueError."""
+def dumps(obj, schema: str) -> str:
+    """Indented JSON text of a report valid under the named schema; a schema
+    violation raises SchemaError, NaN and infinities ValueError."""
+    validate(obj, load_schema(schema))
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def write_json(obj, path) -> None:
-    """Write dumps(obj) to path; a report that cannot be dumped leaves no file."""
-    text = dumps(obj)
+def write_json(obj, schema: str, path) -> None:
+    """Write dumps(obj, schema) to path; a report that cannot be dumped leaves no file."""
+    text = dumps(obj, schema)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def read_json(path, schema: str):
+    """The document in path, valid under the named schema; a ValueError (not
+    UTF-8, not JSON, not valid) names path, as an OSError does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+            validate(doc, load_schema(schema))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return doc
 
 
 @functools.lru_cache(maxsize=None)

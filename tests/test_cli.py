@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +55,7 @@ def config(tmp_path):
     return str(write_config(tmp_path / "config.json"))
 
 
-def read_json(path):
+def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -67,12 +72,12 @@ def test_solve_reference_config(config, tmp_path):
         "ground_state.json",
         "threshold.json",
     ]
-    checks = read_json(os.path.join(out, "checks.json"))
+    checks = load_json(os.path.join(out, "checks.json"))
     assert checks["all_passed"]
     order = [c for c in checks["cross"] if c["name"] == "theta_order"][0]
     assert order["passed"]
-    gs = read_json(os.path.join(out, "ground_state.json"))
-    bs = read_json(os.path.join(out, "bound_state.json"))
+    gs = load_json(os.path.join(out, "ground_state.json"))
+    bs = load_json(os.path.join(out, "bound_state.json"))
     assert gs["theta"] < 0.0 < bs["theta"] - gs["theta"]
     assert gs["positive"] == [True, True] and bs["positive"] == [True, True]
 
@@ -97,10 +102,10 @@ def test_reports_validate_against_schemas(config, tmp_path, capsys):
     assert main(["fibering", "--config", config]) == EXIT_OK
     fibering = json.loads(capsys.readouterr().out)
     for doc, name in (
-        (read_json(os.path.join(out, "threshold.json")), "threshold_report"),
-        (read_json(os.path.join(out, "ground_state.json")), "solve_report"),
-        (read_json(os.path.join(out, "bound_state.json")), "solve_report"),
-        (read_json(os.path.join(out, "checks.json")), "checks"),
+        (load_json(os.path.join(out, "threshold.json")), "threshold_report"),
+        (load_json(os.path.join(out, "ground_state.json")), "solve_report"),
+        (load_json(os.path.join(out, "bound_state.json")), "solve_report"),
+        (load_json(os.path.join(out, "checks.json")), "checks"),
         (fibering, "fibering_analysis"),
     ):
         schema = load_schema(name)
@@ -161,7 +166,7 @@ def test_threshold_not_satisfied_without_force(tmp_path, capsys):
     out = str(tmp_path / "o")
     code = main(["solve", "--config", str(cfg), "--out", out])
     assert code == EXIT_THRESHOLD
-    rep = read_json(os.path.join(out, "threshold.json"))
+    rep = load_json(os.path.join(out, "threshold.json"))
     assert not rep["satisfied"]
     assert "--force" in capsys.readouterr().err
 
@@ -169,7 +174,7 @@ def test_threshold_not_satisfied_without_force(tmp_path, capsys):
 def test_autoscale_satisfies_threshold(config, tmp_path):
     out = str(tmp_path / "out")
     assert main(["threshold", "--config", config, "--out", out]) == EXIT_OK
-    rep = read_json(os.path.join(out, "threshold.json"))
+    rep = load_json(os.path.join(out, "threshold.json"))
     assert rep["satisfied"] is True
     assert max(rep["f_norm"], rep["g_norm"]) == pytest.approx(
         0.5 * rep["lambda_threshold"], rel=1e-12
@@ -243,7 +248,7 @@ def test_gaussian_and_constant_sources(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["solve", "--config", str(cfg), "--out", out]) == EXIT_OK
-    rep = read_json(os.path.join(out, "checks.json"))
+    rep = load_json(os.path.join(out, "checks.json"))
     assert rep["all_passed"]
 
 
@@ -256,7 +261,7 @@ def test_solve_2d_config(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", out]) == EXIT_OK
     header = Path(out, "ground_state.csv").read_text().splitlines()[0]
     assert header == "i,j,x,y,u,v"
-    assert read_json(os.path.join(out, "checks.json"))["all_passed"]
+    assert load_json(os.path.join(out, "checks.json"))["all_passed"]
 
 
 def test_determinism_byte_identical(config, tmp_path):
@@ -352,14 +357,14 @@ def test_sweep_row_of_a_failing_value_keeps_nan_and_false(tmp_path, jobs):
     ) == EXIT_THRESHOLD
     ok, bad = out / "sweep_beta_0.5", out / "sweep_beta_40"
     assert not (bad / "ground_state.json").exists()
-    lam_ok, lam_bad = (read_json(d / "threshold.json")["lambda_threshold"] for d in (ok, bad))
-    plus, minus = (read_json(ok / f"{s}.json")["theta"] for s in ("ground_state", "bound_state"))
+    lam_ok, lam_bad = (load_json(d / "threshold.json")["lambda_threshold"] for d in (ok, bad))
+    plus, minus = (load_json(ok / f"{s}.json")["theta"] for s in ("ground_state", "bound_state"))
     assert (out / "sweep.csv").read_text() == (
         "value,satisfied,lambda_threshold,theta_plus,theta_minus,"
         "converged_plus,converged_minus,positive_plus_u,positive_plus_v,"
-        "positive_minus_u,positive_minus_v\n"
-        f"0.5,true,{lam_ok:.17g},{plus:.17g},{minus:.17g},true,true,true,true,true,true\n"
-        f"40,false,{lam_bad:.17g},nan,nan,false,false,false,false,false,false\n"
+        "positive_minus_u,positive_minus_v,code\n"
+        f"0.5,true,{lam_ok:.17g},{plus:.17g},{minus:.17g},true,true,true,true,true,true,0\n"
+        f"40,false,{lam_bad:.17g},nan,nan,false,false,false,false,false,false,3\n"
     )
 
 
@@ -367,7 +372,7 @@ def test_branch_seeds_config(tmp_path):
     cfg = write_config(tmp_path / "seeds.json", branch_seeds=[0, 1])
     out = str(tmp_path / "o")
     assert main(["solve", "--config", str(cfg), "--out", out]) == EXIT_OK
-    gs = read_json(os.path.join(out, "ground_state.json"))
+    gs = load_json(os.path.join(out, "ground_state.json"))
     assert gs["seed_disagreement"] is False
 
 
@@ -564,7 +569,7 @@ def test_reports_carry_the_descent_iterations(tmp_path):
     cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     for stem in ("ground_state", "bound_state"):
-        assert read_json(os.path.join(out, f"{stem}.json"))["iterations"] > 0, stem
+        assert load_json(os.path.join(out, f"{stem}.json"))["iterations"] > 0, stem
 
 
 def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
@@ -599,7 +604,7 @@ def test_check_fails_the_checks_that_solve_failed(tmp_path, capsys):
     # perfbench/worker.py parses them, name the failing checks of checks.json
     cfg, out = str(readme_config(tmp_path / "c.json", grad_tol=1e-3)), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_VERIFY
-    doc = read_json(os.path.join(out, "checks.json"))
+    doc = load_json(os.path.join(out, "checks.json"))
     failed = sorted(
         c["name"] if part == "cross" else f"{part}:{c['name']}"
         for part in ("ground_state", "bound_state", "cross")
@@ -751,15 +756,16 @@ def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
     before = capsys.readouterr().out
     path = os.path.join(out, "bound_state.json")
     for key, value in (("grad_tol", 1.0), ("max_iters", 0)):
-        doc = read_json(path)
+        doc = load_json(path)
         doc["config"][key] = value
-        write_json(doc, path)
+        write_json(doc, "solve_report", path)
         assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK, key
         assert capsys.readouterr().out == before, key
-    # a report of the older format, whose config still carries nehari_tol
-    doc = read_json(path)
+    # a report of the older format, whose config still carries nehari_tol;
+    # write_json refuses it, so it is written as plain JSON
+    doc = load_json(path)
     doc["config"]["nehari_tol"] = 1e-10
-    write_json(doc, path)
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert "nehari_tol" in capsys.readouterr().err
 
@@ -779,7 +785,7 @@ def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):
     cfg, out = str(readme_config(tmp_path / "c.json", mu1=1e300)), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_SOLVER
     assert "did not converge" in capsys.readouterr().err
-    floor = [c for c in read_json(os.path.join(out, "checks.json"))["bound_state"]
+    floor = [c for c in load_json(os.path.join(out, "checks.json"))["bound_state"]
              if c["name"] == "bound_state_norm_floor"]
     assert floor and not floor[0]["passed"]
 
@@ -847,9 +853,8 @@ def solve_reports(draw):
 @settings(max_examples=300, deadline=None)
 @given(rep=solve_reports(), disagree=st.booleans())
 def test_solve_report_json_round_trip(rep, disagree):
-    text = dumps(cli.solve_report_to_dict(rep, "state.csv", seed_disagreement=disagree))
+    text = dumps(cli.solve_report_to_dict(rep, "state.csv", disagree), "solve_report")
     doc = json.loads(text)
-    validate(doc, load_schema("solve_report"))
     # check verifies with its own settings, but the saved config must read back as written
     back = cli.solve_report_from_dict(doc, rep.state, SolverConfig(**doc["config"]))
     saved = [f.name for f in fields(SolveReport) if f.name in doc]
@@ -864,18 +869,20 @@ def test_solve_report_json_round_trip(rep, disagree):
         want, got = getattr(rep.config, f.name), getattr(back.config, f.name)
         assert type(got) is type(want), f"config.{f.name}"
     assert back.state is rep.state
-    assert dumps(cli.solve_report_to_dict(back, "state.csv", seed_disagreement=disagree)) == text
+    assert dumps(cli.solve_report_to_dict(back, "state.csv", disagree), "solve_report") == text
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_dumps_rejects_non_finite_floats(x, tmp_path):
-    # NaN and infinities are not JSON; a report must not hide them as null
-    with pytest.raises(ValueError):
-        dumps({"theta": x})
+def test_dumps_rejects_non_finite_floats(readme_problem, x, tmp_path):
+    # NaN and infinities are not JSON; a report must not hide them as null.
+    # The report is valid under its schema, so the float is what raises
+    doc = {**asdict(readme_problem.threshold), "s4": x}
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dumps(doc, "threshold_report")
     # nor leave an empty file behind
     path = tmp_path / "report.json"
-    with pytest.raises(ValueError):
-        write_json({"theta": x}, path)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(doc, "threshold_report", path)
     assert not path.exists()
 
 
@@ -1065,3 +1072,110 @@ def test_check_with_a_deleted_file_is_exit_2(config, tmp_path, capsys, name):
     assert main(["check", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+# --- JSON inputs that are not UTF-8, not JSON or not valid name their file ---
+
+_DROP = object()
+
+
+def _invalid_edits(doc, schema, root, at=()):
+    """(path, value) edits of doc that its schema rejects; the value _DROP deletes the key."""
+    if "$ref" in schema:
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    if isinstance(doc, dict):
+        edits = [(at + (key,), _DROP) for key in schema.get("required", [])]
+        edits.append((at + ("unknown",), 1.0))  # every object of the config schema is closed
+        for key, value in doc.items():
+            edits += _invalid_edits(value, schema["properties"][key], root, at + (key,))
+        return edits
+    if isinstance(doc, list):
+        return [e for i, v in enumerate(doc)
+                for e in _invalid_edits(v, schema["items"], root, at + (i,))]
+    if isinstance(doc, str):  # a number, or a kind outside the enum
+        return [(at, 1.0)] + ([(at, "sine")] if "enum" in schema else [])
+    wrong = [str(doc), True]  # a string or true for a number
+    if isinstance(doc, int):
+        wrong.append(float(doc))  # a float for an integer
+    if "enum" in schema:
+        wrong.append(max(schema["enum"]) + 1)
+    return [(at, v) for v in wrong]
+
+
+def _edited(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_config_that_is_not_valid_json_names_its_file(data):
+    schema = load_schema("problem_config")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = readme_config(Path(tmp, "broken_config.json"))
+        text = path.read_bytes()
+        cfg = json.loads(text)
+        path.write_bytes(data.draw(st.one_of(
+            st.sampled_from(_invalid_edits(cfg, schema, schema)).map(
+                lambda edit: json.dumps(_edited(cfg, *edit)).encode()
+            ),
+            st.integers(0, len(text) - 1).map(lambda k: text[:k]),  # cut before the last "}"
+            st.integers(0x80, 0xFF).map(lambda b: bytes([b]) + text),  # not UTF-8
+        )))
+        calls = []
+        mp.setattr(cli, "estimate_s4", lambda *args, **kwargs: calls.append(args))
+        out = Path(tmp, "out")
+        code, err = _main_stderr(["solve", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1 and "broken_config.json" in err
+        assert calls == [] and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def solved_readme(tmp_path_factory):
+    """The config and output directory of one solve of the README config at 1D 49."""
+    tmp = tmp_path_factory.mktemp("solved")
+    cfg, out = str(readme_config(tmp / "c.json")), tmp / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    return cfg, out
+
+
+def _broken_reports(text):
+    doc = json.loads(text)
+    return st.one_of(
+        st.integers(0, len(text.rstrip()) - 1).map(lambda k: text[:k]),  # cut before the last "}"
+        st.sampled_from(load_schema("solve_report")["required"]).map(
+            lambda key: json.dumps(_edited(doc, (key,), _DROP))
+        ),
+        st.sampled_from([(), ("config",)]).map(
+            lambda at: json.dumps(_edited(doc, at + ("unknown",), 1.0))
+        ),
+        st.just(json.dumps(_edited(doc, ("theta",), str(doc["theta"])))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(stem=st.sampled_from(["ground_state", "bound_state"]), data=st.data())
+def test_check_names_a_saved_report_that_is_not_valid_json(solved_readme, stem, data):
+    cfg, solved = solved_readme
+    with tempfile.TemporaryDirectory() as tmp:
+        out = shutil.copytree(solved, Path(tmp, "out"))
+        path = out / f"{stem}.json"
+        path.write_text(data.draw(_broken_reports(path.read_text())), encoding="utf-8")
+        code, err = _main_stderr(["check", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{stem}.json" in err

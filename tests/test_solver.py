@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval as np_polyval
 
-from nehari.fibering import N_MINUS, N_PLUS, NoSuchBranch, retract
+from nehari.fibering import N_MINUS, N_PLUS, N_ZERO, NoSuchBranch, retract
 from nehari.functional import Params, energy, evaluate, gradient, max_norm, polyval
 from nehari.grid import (
     Field,
@@ -179,6 +180,30 @@ def test_auto_init_rejects_zero_sources(zero_params):
     # the bound-state branch start always exists
     init = auto_init(N_MINUS, zero_params, seed=0)
     retract(init, zero_params, N_MINUS)
+
+
+def _one_step(params):
+    return minimize(N_MINUS, params, params.grid, SolverConfig(max_iters=1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda p: SolverConfig(grad_tol=0.0), "grad_tol must be positive, got 0.0",
+                 id="grad-tol-zero"),
+    pytest.param(lambda p: SolverConfig(grad_tol=-1.0), "grad_tol must be positive, got -1.0",
+                 id="grad-tol-negative"),
+    pytest.param(lambda p: SolverConfig(grad_tol=math.nan), "grad_tol must be positive, got nan",
+                 id="grad-tol-nan"),
+    pytest.param(lambda p: auto_init(N_ZERO, p, seed=0), "branch must be 'N+' or 'N-', got 'N0'",
+                 id="auto-init-branch"),
+    pytest.param(lambda p: minimize(N_PLUS, p, Grid(1, (1.0,), (49,))),
+                 "params sources do not live on the given grid", id="minimize-grid"),
+    pytest.param(lambda p: positivity_rescale(_one_step(p), p),
+                 "positivity rescale requires a converged report", id="rescale-unconverged"),
+])
+def test_library_guards_raise_value_error(small_problem, call, message):
+    params = small_problem[1]  # nonnegative sources, so the rescale reaches its convergence guard
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(params)
 
 
 def test_seeds_agree_on_bound_state_energy():

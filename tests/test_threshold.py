@@ -41,6 +41,12 @@ def ratio(grid, vals, lam):
     return l4_norm4(w) ** 0.25 / math.sqrt(weighted_norm_sq(w.grid, w.values, lam))
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_estimate_s4_needs_a_positive_lam(lam):
+    with pytest.raises(ValueError, match=f"lam must be positive, got {lam}"):
+        estimate_s4(Grid(1, (1.0,), (9,)), lam)
+
+
 def test_s4_dominates_trial_function():
     g = Grid(1, (1.0,), (99,))
     s4 = estimate_s4(g, 1.0)
