@@ -83,7 +83,8 @@ _SOURCE_NUMBERS = {
 
 
 def _build_source(grid: Grid, spec: dict, where: str) -> Field:
-    # the schema gives each key its type and kind its four values
+    # the schema gives each key its type and kind its four values, read_json
+    # every number a finite float
     kind = spec["kind"]
     if kind == "csv":
         if "path" not in spec:
@@ -97,8 +98,6 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
         if key not in spec:
             raise ConfigError(f"config error at {where}.{key}: required for a {kind} source")
         num[key] = np.asarray(spec[key], dtype=float)
-        if not np.isfinite(num[key]).all():
-            raise ConfigError(f"config error at {where}.{key}: must be finite, got {spec[key]}")
     if kind == "constant":
         return Field(grid, np.full(grid.size, float(num["value"])))
     if kind == "eigen":

@@ -4,8 +4,9 @@ Every JSON document the package writes or reads is validated against its
 named schema here.  Reports must be byte-identical for identical inputs:
 ``json.dumps`` keeps insertion order and writes each float as its shortest
 repr, which reads back as the same float (and ``1.0`` stays a float).  NaN
-and infinities are not JSON, so they raise instead of being written.  Each
-report kind has a schema file shipped under ``nehari/schemas``, whose
+and infinities are not JSON, so they raise instead of being written, and a
+document that holds them, or a number too large for a float, is not read.
+Each report kind has a schema file shipped under ``nehari/schemas``, whose
 ``required`` list gives its keys in the order they are written; the validator
 below covers the subset of JSON Schema those files use (type, properties,
 required, items, enum, additionalProperties, and $ref to a definition under
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from importlib import resources
 
 __all__ = ["dumps", "write_json", "read_json", "load_schema", "validate", "SchemaError"]
@@ -40,15 +42,33 @@ def write_json(obj, schema: str, path) -> None:
 
 
 def read_json(path, schema: str):
-    """The document in path, valid under the named schema; a ValueError (not
-    UTF-8, not JSON, not valid) names path, as an OSError does."""
+    """The document in path, finite and valid under the named schema; a
+    ValueError (not UTF-8, not JSON, a non-finite number, not valid) names
+    path, as an OSError does."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+            bad = [f"{at}: non-finite number" for at in _non_finite(doc, "$")]
+            if bad:
+                raise ValueError("; ".join(bad))
             validate(doc, load_schema(schema))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return doc
+
+
+def _non_finite(obj, path):
+    """The path of every number in obj that is not a finite float: Python's
+    json reads the NaN and Infinity tokens, 1e400 as inf, and a 400-digit
+    integer as an int that float() cannot convert."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _non_finite(value, f"{path}[{i}]")
+    elif isinstance(obj, (int, float)) and not abs(obj) <= sys.float_info.max:
+        yield path  # abs(nan) <= max is false; an int compares exactly
 
 
 @functools.lru_cache(maxsize=None)

@@ -633,6 +633,29 @@ def test_check_of_an_unconverged_solve_runs_every_check(tmp_path, capsys):
                      for name in ("gradient_norm", "pde_residual", "weak_form")]
 
 
+def test_check_after_a_solve_on_another_grid_and_seed_prints_what_a_fresh_process_does(
+    tmp_path, capsys
+):
+    # the weak-form test pairs a process drew for other solves, on this grid
+    # with seed 1 (drawn first) and on 1D 49 with seed 1 (drawn last), must
+    # not reach the check of 1D 99 with seed 0
+    cfg, out = str(readme_config(tmp_path / "c.json", points=99)), str(tmp_path / "out")
+    other = str(readme_config(tmp_path / "other.json"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s1"), "--seed", "1"]) == EXIT_OK
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["solve", "--config", other, "--out", str(tmp_path / "o"), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK
+    here = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "nehari.cli", "check", "--config", cfg, "--out", out],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert fresh.returncode == EXIT_OK and "weak_form: pass" in here
+    assert here == fresh.stdout
+
+
 # the README config at 1D 49 meets the stop rule after this many steps per branch
 _README_STEPS = {N_PLUS: 4, N_MINUS: 27}
 _STOP_CHECKS = ("on_manifold", "branch_sign", "gradient_norm")
@@ -1179,3 +1202,45 @@ def test_check_names_a_saved_report_that_is_not_valid_json(solved_readme, stem, 
         code, err = _main_stderr(["check", "--config", cfg, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{stem}.json" in err
+
+
+# Python's json reads NaN, Infinity and -Infinity, 1e400 as inf and a long
+# integer literal as an int that no float holds
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1" + "0" * 400]
+
+
+@pytest.mark.parametrize("token", _NON_FINITE)
+def test_check_names_a_saved_report_with_a_non_finite_number(solved_readme, tmp_path, token):
+    cfg, solved = solved_readme
+    out = shutil.copytree(solved, tmp_path / "out")
+    path = out / "ground_state.json"
+    text = path.read_text()
+    theta = f'"theta": {json.dumps(json.loads(text)["theta"])},'
+    assert text.count(theta) == 1
+    path.write_text(text.replace(theta, f'"theta": {token},'))
+    code, err = _main_stderr(["check", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert err == f"error: {path}: $.theta: non-finite number\n"
+
+
+@pytest.mark.parametrize("token", _NON_FINITE)
+@pytest.mark.parametrize(
+    "old, new, at",
+    [
+        ('"lam1": 1.0', '"lam1": {}', "$.coefficients.lam1"),
+        ('"center": [0.5]', '"center": [{}]', "$.sources.g.center[0]"),
+        ('"grad_tol": 1e-08', '"grad_tol": {}', "$.solver.grad_tol"),
+    ],
+)
+def test_a_config_with_a_non_finite_number_names_its_file_and_path(
+    tmp_path, monkeypatch, capsys, token, old, new, at
+):
+    cfg = readme_config(tmp_path / "c.json")
+    text = cfg.read_text()
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new.format(token)))
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {cfg}: {at}: non-finite number\n"
+    assert calls == [] and not out.exists()

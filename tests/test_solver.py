@@ -615,6 +615,63 @@ def test_weak_form_residual_matches_per_pair_reference(rng):
     assert got == pytest.approx(worst, rel=1e-12)
 
 
+def _weak_form_reference(terms, seed):
+    """Worst weak-form ratio with tu, then tv, drawn per pair from a fresh default_rng(seed)."""
+    terms_u, terms_v = terms
+    draws = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        tu = draws.standard_normal(terms_u.shape[1])
+        tv = draws.standard_normal(terms_u.shape[1])
+        pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
+        worst = max(worst, float(abs(pairings.sum()) / np.abs(pairings).sum()))
+    return worst
+
+
+def _random_terms(dim, n, rng):
+    grid = Grid(dim, (1.0,) * dim, (n,) * dim)
+    e = first_eigenvector(grid)
+    p = random_pair(grid, rng)
+    rd = evaluate(Params(1.0, 1.0, 1.0, 1.0, 0.5, e, e.scaled(0.5)), p.u.values, p.v.values)
+    return rd.terms_u, rd.terms_v
+
+
+@pytest.mark.parametrize("dim, n", [(1, 799), (2, 15), (2, 127)])
+def test_weak_form_test_pairs_are_drawn_once_with_the_same_bits(dim, n, rng):
+    terms, other = _random_terms(dim, n, rng), _random_terms(dim, n + 2, rng)
+    for seed in range(4):
+        want = _weak_form_reference(terms, seed)
+        solver._test_pairs.cache_clear()
+        assert weak_form_residual(terms, seed) == want  # the first call draws
+        # an odd node count puts every tv row 8 bytes off 16-byte alignment
+        pairs = solver._test_pairs(seed, n**dim)
+        assert {tv.ctypes.data % 16 for _tu, tv in pairs} == {8}
+        assert weak_form_residual(terms, seed) == want  # a memo hit
+        assert solver._test_pairs.cache_info().misses == 1
+        # fills for another seed and for another node count in between
+        weak_form_residual(terms, seed + 1)
+        weak_form_residual(other, seed)
+        assert weak_form_residual(terms, np.int64(seed)) == want
+
+
+def test_weak_form_test_pairs_are_read_only():
+    pairs = solver._test_pairs(0, 7)
+    assert pairs.shape == (20, 2, 7) and not pairs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0, 0, 0] = 1.0
+
+
+def test_verify_solution_needs_an_integer_seed(solved):
+    # default_rng(None) draws fresh entropy, which the held test pairs would freeze
+    _grid, params, s4, plus, _minus = solved
+    for seed in (None, 1.0):
+        with pytest.raises(TypeError):
+            verify_solution(plus, params, s4=s4, seed=seed)
+    assert verify_solution(plus, params, s4=s4, seed=np.int64(3)) == verify_solution(
+        plus, params, s4=s4, seed=3
+    )
+
+
 def test_unequal_lams_solve_with_two_factors_and_verify():
     grid = Grid(2, (1.0, 1.0), (31, 31))
     s4 = estimate_s4(grid, 1.0)
