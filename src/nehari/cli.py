@@ -396,7 +396,8 @@ def cmd_sweep(args) -> int:
     out_dirs = [os.path.join(out_dir, _sweep_slug(args.parameter, v)) for v in values]
     # each row is built as its value's result arrives, so no report outlives it
     codes, rows = [], []
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    workers = min(args.jobs, len(values))  # never more workers than values
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(run_solve, problems, out_dirs)
         for value, problem, (code, reports) in zip(values, problems, results):
             codes.append(code)

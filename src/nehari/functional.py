@@ -8,16 +8,20 @@ with the squared energy norm N = ||(u,v)||^2, the quartic interaction
 A = mu1*|u|_4^4 + mu2*|v|_4^4 + 2*beta*int(u^2 v^2) and the source pairing
 B = int(f*u + g*v).  Along a ray J(t*p) = t^2*N/2 - t^4*A/4 - t*B, so the
 energy, the constraint N - A - B and the branch indicator 2N - 4A - B are
-algebra on the ray data (N, A, B).  evaluate() computes the strong residual
-rows of a state with one stencil pass per component and gets N, A and B by
-pairing those rows with the state; energy and gradient are reductions of
-its result.  polyval is the Horner rule of the line polynomials of the
-descent and of the s4 ascent.  All quadrature is the grid's rectangle rule,
-so the gradient is the exact derivative of the discrete energy.
+algebra on the ray data (N, A, B).  evaluate() applies the stencil once per
+component, adds each component's five signed residual rows into its
+residual in place, keeps the energy row (-lap + lam) w and the square w^2,
+and takes N, A and B by dot products; residual_terms() stacks the rows for
+the checks that read them one by one.  energy and gradient are reductions
+of evaluate's result.  polyval is
+the Horner rule of the line polynomials of the descent and of the s4
+ascent.  All quadrature is the grid's rectangle rule, so the gradient is
+the exact derivative of the discrete energy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,7 +30,8 @@ import numpy as np
 
 from .grid import Field, Grid, Pair, laplacian_matvec
 
-__all__ = ["Params", "RayData", "evaluate", "energy", "gradient", "max_norm", "polyval"]
+__all__ = ["Params", "RayData", "evaluate", "residual_terms", "energy", "gradient", "max_norm",
+           "polyval"]
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,13 @@ class Params:
 
 
 class RayData(NamedTuple):
-    """One evaluation of a state: strong residual rows and ray data."""
+    """One evaluation of a state: its residual, energy rows, squares and ray data."""
 
     u: np.ndarray
     v: np.ndarray
-    terms_u: np.ndarray  # signed residual terms, one row each; see evaluate
-    terms_v: np.ndarray
-    residual: tuple[np.ndarray, np.ndarray]  # column sums of the terms
+    residual: np.ndarray  # (2, N): the strong residual of u, then of v
+    energy_rows: tuple[np.ndarray, np.ndarray]  # (-lap + lam1) u and (-lap + lam2) v
+    squares: tuple[np.ndarray, np.ndarray]  # u*u and v*v
     vol: float  # quadrature weight of one node
     norm_sq: float  # N
     quartic: float  # A
@@ -113,36 +118,71 @@ class RayData(NamedTuple):
         return self.vol * max_norm(*self.residual)
 
 
-def evaluate(params: Params, u: np.ndarray, v: np.ndarray) -> RayData:
-    """Evaluate the state (u, v) with one stencil pass per component.
+def _signed_rows(params: Params, u, v, uu, vv):
+    """Yield the five signed residual rows of u, then those of v, one at a time.
 
     The u rows are (-lap u, lam1*u, -mu1*u^3, -beta*u*v^2, -f) and the v rows
-    the same with the roles swapped; a column sum is the strong residual at a
-    node.  N, A and B are pairings of the rows with the state itself:
-    u.(-lap u) + lam1*|u|^2 is the u part of N, the two nonlinear rows give
-    -A and the source row gives -B.
+    the same with the roles swapped; uu and vv are u*u and v*v.
     """
-    grid = params.grid
+    grid, beta = params.grid, params.beta
+    yield laplacian_matvec(grid, u)
+    yield params.lam1 * u
+    yield -params.mu1 * (uu * u)
     # the two coupling products round differently even where u == v; that
     # rounding-level asymmetry is what lets a descent leave a symmetric saddle
-    beta = params.beta
-    terms_u = np.stack((laplacian_matvec(grid, u), params.lam1 * u, -params.mu1 * (u * u * u),
-                        -(beta * u * (v * v)), -params.f.values))
-    terms_v = np.stack((laplacian_matvec(grid, v), params.lam2 * v, -params.mu2 * (v * v * v),
-                        -(beta * (u * u) * v), -params.g.values))
-    su, sv = terms_u @ u, terms_v @ v
-    vol = grid.cell_volume
+    yield -beta * u * vv
+    yield -params.f.values
+    yield laplacian_matvec(grid, v)
+    yield params.lam2 * v
+    yield -params.mu2 * (vv * v)
+    yield -beta * uu * v
+    yield -params.g.values
+
+
+def residual_terms(params: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The signed residual rows of (u, v) as a (2, 5, N) stack, u rows first.
+
+    A column sum of either (5, N) half is the strong residual of its
+    component at a node; see evaluate for the rows.
+    """
+    terms = np.empty((2, 5, u.size))
+    for t, row in zip(terms.reshape(10, -1), _signed_rows(params, u, v, u * u, v * v)):
+        t[...] = row
+    return terms
+
+
+def evaluate(params: Params, u: np.ndarray, v: np.ndarray, terms=None) -> RayData:
+    """Evaluate the state (u, v) with one stencil pass per component.
+
+    Each component's five signed rows are added in order into its residual,
+    with the bits of the column sums of residual_terms, and each row is
+    dropped once added; the first two add up to the energy row (-lap + lam) w.
+    N pairs the energy rows with the state, A the squares with each other and
+    B the sources with the state.  A caller holding residual_terms(params, u,
+    v) passes it as terms, and the stencil is not applied again.
+    """
+    uu, vv = u * u, v * v
+    rows = _signed_rows(params, u, v, uu, vv) if terms is None else itertools.chain(*terms)
+    residual, energy_rows = np.empty((2, u.size)), []
+    for res in residual:
+        energy_rows.append(next(rows) + next(rows))
+        np.add(energy_rows[-1], next(rows), out=res)
+        res += next(rows)
+        res += next(rows)
+    (eu, ev), vol = energy_rows, params.grid.cell_volume
+    mixed = params.mu1 * (uu @ uu) + params.mu2 * (vv @ vv) + 2.0 * params.beta * (uu @ vv)
     return RayData(
-        u, v, terms_u, terms_v, (terms_u.sum(axis=0), terms_v.sum(axis=0)), vol,
-        norm_sq=float(vol * (su[0] + su[1] + sv[0] + sv[1])),
-        quartic=float(-vol * (su[2] + su[3] + sv[2] + sv[3])),
-        source=float(-vol * (su[4] + sv[4])),
+        u, v, residual, (eu, ev), (uu, vv), vol,
+        norm_sq=float(vol * (eu @ u + ev @ v)),
+        quartic=float(vol * mixed),
+        source=float(vol * (params.f.values @ u + params.g.values @ v)),
     )
 
 
 def max_norm(*arrays: np.ndarray) -> float:
-    """Largest absolute entry over the given nodal arrays."""
-    return float(max(np.abs(a).max() for a in arrays))
+    """Largest absolute entry over the given nodal arrays, with no |a| copy."""
+    # max and min both give NaN for a NaN entry; abs() turns a -0.0 maximum into 0.0
+    return float(max(abs(max(a.max(), -a.min())) for a in arrays))
 
 
 def polyval(c, x: float) -> float:

@@ -18,12 +18,14 @@ point on either branch has a vanishing multiplier and so is a free one.
 
 Along a ray the energy is fixed by the ray data (N, A, B) = (squared norm,
 quartic interaction, source pairing): J(t*p) = t^2*N/2 - t^4*A/4 - t*B.
-Every number the descent, its report and the verification use is a
-reduction of one functional.evaluate of the state (one stencil pass per
-component).  On the trial line p - eta*d the ray data are polynomials in
-eta, built from that evaluation and 21 dot products against d, so an Armijo
-trial is float arithmetic with no array operation; the accepted point is
-evaluated directly, so rounding cannot accumulate.
+Every number the descent uses is a reduction of one functional.evaluate of
+the state (one stencil pass per component).  On the trial line p - eta*d
+the ray data are polynomials in eta, built from that evaluation and 27 dot
+products of nodal rows, so an Armijo trial is float arithmetic with no
+array operation; the accepted point is evaluated directly, so rounding
+cannot accumulate.  Only the report and the verification stack the
+residual's terms (functional.residual_terms); the verification evaluates
+that stack, so it too applies the stencil once per component.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
-from .functional import Params, RayData, energy, evaluate, gradient, max_norm, polyval
+from .functional import (Params, RayData, energy, evaluate, gradient, max_norm, polyval,
+                         residual_terms)
 from .grid import Field, Grid, Pair, first_eigenvector, l43_norm, sine_modes
 # unused here (evaluate applies the stencil, verify_solution is given s4), but bound
 # on purpose: perfbench's test_wrappers_reach_every_import_site_and_are_removed reads both
@@ -134,6 +137,9 @@ def _shift_solve(grid: Grid, lam: float):
     The DST-I basis of the leading axis (symmetric, its own inverse) leaves one
     tridiagonal line system per sine mode (Buzbee, Golub & Nielson 1970): no
     fill in natural order, and one-column panels, as it has no supernodes.
+    The solve maps a nodal row (N,) or a C-ordered stack of rows (k, N) to
+    the same shape; a stack reaches the factor as one F-ordered right-hand
+    side, so each returned row is contiguous.
     """
     n, h = grid.points[-1], grid.spacing[-1]
     # 1D has no leading axis: its one line system is the whole problem
@@ -143,11 +149,12 @@ def _shift_solve(grid: Grid, lam: float):
     lines = sp.diags([off, main, off], [-1, 0, 1], format="csc")
     lu = spla.splu(lines, permc_spec="NATURAL", panel_size=1)
     if basis is None:
-        return lu.solve
+        return lambda r: lu.solve(r.T).T
 
-    def solve(r: np.ndarray) -> np.ndarray:  # one right-hand side or two
-        modes = lu.solve((basis @ r.reshape(len(basis), -1)).reshape(r.shape))
-        return (basis @ modes.reshape(len(basis), -1)).reshape(r.shape)
+    def solve(r: np.ndarray) -> np.ndarray:
+        lines = r.reshape(-1, len(basis), n)  # each row as (sine mode, line node)
+        modes = lu.solve((basis @ lines).reshape(len(lines), -1).T).T
+        return (basis @ modes.reshape(lines.shape)).reshape(r.shape)
 
     return solve
 
@@ -166,9 +173,9 @@ def _riesz_solves(params: Params):
     return _RIESZ[params]
 
 
-def pde_residual_scale(rd: RayData) -> tuple[float, float]:
-    """Max-norm of the strong residual and of the scale of its terms."""
-    scale = max(np.abs(t).sum(axis=0).max() for t in (rd.terms_u, rd.terms_v))
+def pde_residual_scale(rd: RayData, terms: np.ndarray) -> tuple[float, float]:
+    """Max-norm of the strong residual and of the scale of its terms (residual_terms of rd)."""
+    scale = max(np.abs(t).sum(axis=0).max() for t in terms)
     return max_norm(*rd.residual), float(scale)
 
 
@@ -187,25 +194,26 @@ def _stop_checks(rd: RayData, cfg: SolverConfig, branch: str) -> list[CheckResul
 def _line_polynomials(rd: RayData, du, dv, params: Params):
     """Coefficients in eta, constant first, of N, A and B along p - eta*d.
 
-    Also returns the slope <J', d>.  The eta^2 coefficient of N is the
-    energy norm of d, which equals the slope when d solves (-lap + lam) d = r.
+    Also returns the slope <J', d> = r.d.  The eta coefficients of N and B
+    pair d with the energy rows, (-lap + lam) w . dw, and with the sources.
+    The eta^2 coefficient of N is the energy norm of d, which equals the
+    slope when d solves (-lap + lam) d = r.
     """
-    vol = rd.vol
-    pu, pv = rd.terms_u @ du, rd.terms_v @ dv
-    slope = float(vol * (pu.sum() + pv.sum()))
+    vol, (ru, rv), (eu, ev) = rd.vol, rd.residual, rd.energy_rows
+    slope = float(vol * (ru @ du + rv @ dv))
     # per node (w - eta*dw)^2 = w^2 - 2*eta*w*dw + eta^2*dw^2, so the eta^k
     # coefficient of A sums a Gram matrix of these six rows over i + j = k: 21
     # dot products (a @ b is b @ a), then floats, i ascending as numpy sums
-    u, v = rd.u, rd.v
-    rows = (u * u, -2.0 * u * du, du * du, v * v, -2.0 * v * dv, dv * dv)
+    (u, v), (uu, vv) = (rd.u, rd.v), rd.squares
+    rows = (uu, -2.0 * u * du, du * du, vv, -2.0 * v * dv, dv * dv)
     gram = [[0.0] * 6 for _ in rows]
     for i, j in itertools.combinations_with_replacement(range(6), 2):
         gram[i][j] = gram[j][i] = float(rows[i] @ rows[j])
     mu1, mu2, beta2, quartic = params.mu1, params.mu2, 2.0 * params.beta, [0.0] * 5
     for i, j in itertools.product(range(3), range(3)):
         quartic[i + j] += mu1 * gram[i][j] + mu2 * gram[3 + i][3 + j] + beta2 * gram[i][3 + j]
-    norm_sq = (rd.norm_sq, float(-2.0 * vol * (pu[0] + pu[1] + pv[0] + pv[1])), slope)
-    source = (rd.source, float(vol * (pu[4] + pv[4])))
+    norm_sq = (rd.norm_sq, float(-2.0 * vol * (eu @ du + ev @ dv)), slope)
+    source = (rd.source, float(-vol * (params.f.values @ du + params.g.values @ dv)))
     return (norm_sq, tuple(vol * c for c in quartic), source), slope
 
 
@@ -281,11 +289,10 @@ def minimize(
     noise_injected = False
 
     while rd.grad_norm > cfg.grad_tol and len(hist) <= cfg.max_iters:
-        ru, rv = rd.residual
         if solve1 is solve2:
-            du, dv = solve1(np.column_stack((ru, rv))).T
+            du, dv = solve1(rd.residual)
         else:
-            du, dv = solve1(ru), solve2(rv)
+            du, dv = solve1(rd.residual[0]), solve2(rd.residual[1])
         polys, slope = _line_polynomials(rd, du, dv, params)
 
         j = rd.energy
@@ -355,7 +362,7 @@ def _build_report(branch, rd, params, cfg, noise_injected, hist) -> SolveReport:
     p = Pair(Field(grid, rd.u), Field(grid, rd.v))
     # the public functions re-evaluate p; they equal rd's values bit for bit
     g = gradient(p, params)
-    res, scale = pde_residual_scale(rd)
+    res, scale = pde_residual_scale(rd, residual_terms(params, rd.u, rd.v))
     return SolveReport(
         branch=branch,
         state=p,
@@ -482,12 +489,13 @@ def verify_solution(
         checks.append(CheckResult(name, bool(passed), detail))
 
     p = report.state
-    # every number below but s4 follows from one evaluation of the state
-    rd = evaluate(params, p.u.values, p.v.values)
-    terms = rd.terms_u, rd.terms_v
+    # every number below but s4 follows from one stencil pass per component:
+    # the evaluation reduces the terms that the weak form pairs
+    terms = residual_terms(params, p.u.values, p.v.values)
+    rd = evaluate(params, p.u.values, p.v.values, terms)
     nsq, quartic, b, j = rd.norm_sq, rd.quartic, rd.source, rd.energy
     norm = math.sqrt(nsq)
-    nu, nv = (math.sqrt(rd.vol * (t[:2] @ w).sum()) for t, w in zip(terms, (rd.u, rd.v)))
+    nu, nv = (math.sqrt(rd.vol * (e @ w)) for e, w in zip(rd.energy_rows, (rd.u, rd.v)))
     add(
         "state_nontrivial",
         nu > 1e-6 * norm and nv > 1e-6 * norm,
@@ -537,7 +545,7 @@ def verify_solution(
         f"J = {j:.6g} >= floor {coercive_floor:.6g}",
     )
 
-    res, scale = pde_residual_scale(rd)
+    res, scale = pde_residual_scale(rd, terms)
     add(
         "pde_residual",
         res <= _PDE_RESIDUAL_REL * scale,

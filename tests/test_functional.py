@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nehari.fibering import NoSuchBranch, analyze_direction, retract, N_MINUS, N_PLUS
-from nehari.functional import Params, energy, gradient
+from nehari.functional import Params, energy, evaluate, gradient, max_norm, residual_terms
 from nehari.grid import (
     Field,
     Pair,
@@ -290,3 +290,68 @@ def test_every_functional_is_the_evaluators_value(seed, dim, beta, log_scale):
     assert rep.classification_value == final.indicator
     assert rep.grad_norm == final.grad_norm
     assert rep.nehari_residual == final.nehari_residual
+
+
+def _problem(seed, dim, same_lam):
+    # small 1D and non-square 2D grids, a random state of either sign and
+    # signed sources; the couplings reach down toward the floor
+    grid = Grid(1, (1.0,), (23,)) if dim == 1 else Grid(2, (1.0, 1.5), (7, 9))
+    rng = np.random.default_rng(seed)
+    lam1, mu1, mu2 = rng.uniform(0.1, 5.0, size=3)
+    lam2 = lam1 if same_lam else rng.uniform(0.1, 5.0)
+    beta = rng.uniform(-0.95, 2.0) * math.sqrt(mu1 * mu2)
+    f, g = (Field(grid, rng.standard_normal(grid.size)) for _ in range(2))
+    params = Params(lam1, lam2, mu1, mu2, beta, f, g)
+    u, v = (10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(grid.size) for _ in range(2))
+    return params, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((1, 2)), same_lam=st.booleans())
+def test_the_residual_is_the_column_sum_of_the_stacked_terms(seed, dim, same_lam):
+    # bit for bit: evaluate adds the rows in the order the stack sums them,
+    # and evaluating the held stack gives the same result
+    params, u, v = _problem(seed, dim, same_lam)
+    rd = evaluate(params, u, v)
+    terms = residual_terms(params, u, v)
+    assert [t.shape for t in terms] == [(5, u.size)] * 2
+    assert rd.residual.tobytes() == np.stack([t.sum(axis=0) for t in terms]).tobytes()
+    for e, t in zip(rd.energy_rows, terms):
+        assert e.tobytes() == t[:2].sum(axis=0).tobytes()
+    again = evaluate(params, u, v, terms)
+    assert again.residual.tobytes() == rd.residual.tobytes()
+    assert (again.norm_sq, again.quartic, again.source) == (rd.norm_sq, rd.quartic, rd.source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((1, 2)), same_lam=st.booleans())
+def test_ray_data_equal_the_row_pairings(seed, dim, same_lam):
+    # N pairs rows 0 and 1 with the state, -A rows 2 and 3 and -B row 4; each
+    # agrees to 1e-13 of the size of its pairings, the scale at which it rounds
+    params, u, v = _problem(seed, dim, same_lam)
+    rd = evaluate(params, u, v)
+    tu, tv = residual_terms(params, u, v)
+    pairings = np.concatenate((tu @ u, tv @ v)).reshape(2, 5)
+    for value, rows, sign in ((rd.norm_sq, [0, 1], 1.0), (rd.quartic, [2, 3], -1.0),
+                              (rd.source, [4], -1.0)):
+        want = sign * rd.vol * pairings[:, rows].sum()
+        scale = rd.vol * np.abs(pairings[:, rows]).sum()
+        assert abs(value - want) <= 1e-13 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e300, 1e300)),
+                 min_size=1, max_size=6),
+        min_size=1, max_size=3,
+    ),
+    nan=st.booleans(),
+)
+def test_max_norm_equals_the_largest_absolute_entry(rows, nan):
+    # the bits of max(|a|.max() ...), signed zeros and a NaN entry included
+    arrays = [np.array(r) for r in rows]
+    if nan:
+        arrays[-1][-1] = math.nan
+    want = float(max(np.abs(a).max() for a in arrays))
+    assert np.float64(max_norm(*arrays)).tobytes() == np.float64(want).tobytes()

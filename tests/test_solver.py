@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval as np_polyval
 
 from nehari.fibering import N_MINUS, N_PLUS, N_ZERO, NoSuchBranch, retract
-from nehari.functional import Params, energy, evaluate, gradient, max_norm, polyval
+from nehari.functional import (
+    Params,
+    energy,
+    evaluate,
+    gradient,
+    max_norm,
+    polyval,
+    residual_terms,
+)
 from nehari.grid import (
     Field,
     Grid,
@@ -441,7 +449,8 @@ def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
             for _ in range(2))
     rd = evaluate(params, u, v)
     solve1, solve2 = _riesz_solves(params)
-    du, dv = solve1(rd.terms_u.sum(axis=0)), solve2(rd.terms_v.sum(axis=0))
+    du, dv = (solve(t.sum(axis=0)) for solve, t in zip((solve1, solve2),
+                                                       residual_terms(params, u, v)))
     polys, _slope = _line_polynomials(rd, du, dv, params)
     eta = 10.0**log_eta
     q = Pair(Field(grid, u - eta * du), Field(grid, v - eta * dv))
@@ -463,17 +472,21 @@ def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
 
 def _numpy_line_polynomials(rd, du, dv, params):
     # the line polynomials as whole-array numpy: 36 dot products of the six
-    # rows, then the antidiagonal sums as traces of the flipped matrix
+    # rows, then the antidiagonal sums as traces of the flipped matrix; the
+    # eta coefficients of N and B pair d with (-lap + lam) w, the first two
+    # stacked residual terms, and with the sources
     vol = rd.vol
-    pu, pv = rd.terms_u @ du, rd.terms_v @ dv
-    slope = float(vol * (pu.sum() + pv.sum()))
+    terms = residual_terms(params, rd.u, rd.v)
+    ru, rv = (t.sum(axis=0) for t in terms)
+    eu, ev = (t[:2].sum(axis=0) for t in terms)
+    slope = float(vol * (ru @ du + rv @ dv))
     u, v = rd.u, rd.v
     rows = (u * u, -2.0 * u * du, du * du, v * v, -2.0 * v * dv, dv * dv)
     gram = np.array([[a @ b for b in rows] for a in rows])
     m = params.mu1 * gram[:3, :3] + params.mu2 * gram[3:, 3:] + 2.0 * params.beta * gram[:3, 3:]
     quartic = vol * np.array([np.fliplr(m).trace(2 - k) for k in range(5)])
-    norm_sq = (rd.norm_sq, -2.0 * vol * (pu[0] + pu[1] + pv[0] + pv[1]), slope)
-    source = (rd.source, vol * (pu[4] + pv[4]))
+    norm_sq = (rd.norm_sq, -2.0 * vol * (eu @ du + ev @ dv), slope)
+    source = (rd.source, -vol * (params.f.values @ du + params.g.values @ dv))
     return (norm_sq, quartic, source), slope
 
 
@@ -562,8 +575,8 @@ def test_grad_norm_equals_the_max_norm_of_the_gradient(seed, dim, log_scale):
     assert _bits(rd.grad_norm) == _bits(max_norm(*rd.gradient))
 
 
-@pytest.mark.parametrize("columns", [None, 1, 2])
-def test_1d_solve_equals_the_identity_basis_path(monkeypatch, columns):
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_1d_solve_equals_the_identity_basis_path(monkeypatch, rows):
     # in 1D the line system is the whole problem: the solve is the factor's
     # own, bit for bit what products with the 1x1 identity basis give
     grid = Grid(1, (1.0,), (799,))
@@ -577,11 +590,13 @@ def test_1d_solve_equals_the_identity_basis_path(monkeypatch, columns):
     solve = solver._shift_solve(grid, 1.0)
     (lu,) = factors
     rng = np.random.default_rng(11)
-    r = rng.standard_normal(grid.size if columns is None else (grid.size, columns))
+    r = rng.standard_normal(grid.size if rows is None else (rows, grid.size))
     basis = np.eye(1)
-    modes = lu.solve((basis @ r.reshape(1, -1)).reshape(r.shape))
-    want = (basis @ modes.reshape(1, -1)).reshape(r.shape)
-    assert solve(r).tobytes() == want.tobytes()
+    lines = r.reshape(-1, 1, grid.size)
+    modes = lu.solve((basis @ lines).reshape(len(lines), -1).T).T
+    want = (basis @ modes.reshape(lines.shape)).reshape(r.shape)
+    got = solve(r)
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
 
 
 def test_weak_form_residual_matches_per_pair_reference(rng):
@@ -589,7 +604,7 @@ def test_weak_form_residual_matches_per_pair_reference(rng):
     p = random_pair(grid, rng)
     u, v = p.u.values, p.v.values
     rd = evaluate(params, u, v)
-    got = weak_form_residual((rd.terms_u, rd.terms_v), seed=7)
+    got = weak_form_residual(residual_terms(params, u, v), seed=7)
 
     # the stencil applied to every test function, one pair at a time
     draws = np.random.default_rng(7)
@@ -632,8 +647,7 @@ def _random_terms(dim, n, rng):
     grid = Grid(dim, (1.0,) * dim, (n,) * dim)
     e = first_eigenvector(grid)
     p = random_pair(grid, rng)
-    rd = evaluate(Params(1.0, 1.0, 1.0, 1.0, 0.5, e, e.scaled(0.5)), p.u.values, p.v.values)
-    return rd.terms_u, rd.terms_v
+    return residual_terms(Params(1.0, 1.0, 1.0, 1.0, 0.5, e, e.scaled(0.5)), p.u.values, p.v.values)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 799), (2, 15), (2, 127)])
@@ -699,17 +713,37 @@ def test_unequal_lams_solve_with_two_factors_and_verify():
 )
 def test_shift_solve_inverts_the_shifted_stencil(points, extents, log_lam, seed):
     # normwise backward error against the dense operator, on square and
-    # non-square grids; two columns at once match two single solves
+    # non-square grids; two rows at once match two single solves
     grid = Grid(len(points), tuple(extents[: len(points)]), tuple(points))
     lam = 10.0**log_lam
     op = dense_neg_laplacian(grid) + lam * np.eye(grid.size)
     solve = solver._shift_solve(grid, lam)
-    r = np.random.default_rng(seed).standard_normal((grid.size, 2))
-    for x, col in zip(solve(r).T, r.T):
-        resid = np.abs(op @ x - col).max()
+    r = np.random.default_rng(seed).standard_normal((2, grid.size))
+    for x, row in zip(solve(r), r):
+        resid = np.abs(op @ x - row).max()
         assert resid <= 1e-13 * np.abs(op).sum(axis=1).max() * np.abs(x).max()
-        single = solve(col)
+        single = solve(row)
         assert np.abs(x - single).max() <= 1e-14 * np.abs(single).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    log_lam=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_two_row_solve_equals_two_one_row_solves(dim, log_lam, seed):
+    # to 1e-14 of the solution's size, on a 1D and a non-square 2D grid; every
+    # returned row is contiguous
+    grid = Grid(1, (1.0,), (31,)) if dim == 1 else Grid(2, (1.0, 1.5), (9, 13))
+    solve = solver._shift_solve(grid, 10.0**log_lam)
+    r = np.random.default_rng(seed).standard_normal((2, grid.size))
+    both = solve(r)
+    assert both.shape == r.shape and both.flags.c_contiguous
+    for k in range(2):
+        one = solve(r[k : k + 1])
+        assert one.shape == (1, grid.size) and one.flags.c_contiguous
+        assert np.abs(both[k] - one[0]).max() <= 1e-14 * np.abs(one).max()
 
 
 def test_shift_factor_has_no_fill(monkeypatch):
