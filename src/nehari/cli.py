@@ -285,7 +285,7 @@ def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
                 if nonneg and rep.converged:
                     rep = positivity_rescale(rep, params)
         except (RuntimeError, ValueError) as exc:
-            # BranchVanished, SemiTrivialCollapse, a rescale that raised the energy
+            # BranchVanished, a rescale that raised the energy
             print(f"error: {branch} solve failed: {exc}", file=sys.stderr)
             return EXIT_SOLVER, {}
         reports[stem] = rep

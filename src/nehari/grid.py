@@ -43,8 +43,8 @@ class Grid:
         extents: box side length per axis.
         points: number of interior nodes per axis (>= 3 each).
 
-    The spacing is never stored independently: it is always derived as
-    ``extents[k] / (points[k] + 1)``, so the relation spacing*(points+1) ==
+    The spacing is never stored independently: it is derived from the frozen
+    fields, once, as ``extents[k] / (points[k] + 1)``, so spacing*(points+1) ==
     extent cannot drift.  Node i along axis k sits at (i+1)*h_k.
     """
 
@@ -71,7 +71,7 @@ class Grid:
                     f"mesh width {h:.3g}: h^2 and 1/h^2 must be finite and positive"
                 )
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         """Mesh width per axis, derived as L/(n+1)."""
         return tuple(L / (n + 1) for L, n in zip(self.extents, self.points))

@@ -55,7 +55,6 @@ __all__ = [
     "SolveReport",
     "CheckResult",
     "BranchVanished",
-    "SemiTrivialCollapse",
     "auto_init",
     "minimize",
     "minimize_over_seeds",
@@ -65,8 +64,6 @@ __all__ = [
 
 _NEHARI_TOL = 1e-10  # relative constraint residual |Phi|/||p||^2 of a converged state
 _POSITIVITY_SLACK = 1e-10
-_COLLAPSE_REL = 1e-8
-_NOISE_REL = 1e-4
 _PDE_RESIDUAL_REL = 1e-6
 _MAX_BACKTRACKS = 60
 _INITIAL_STEP = 1.0
@@ -83,10 +80,6 @@ class BranchVanished(RuntimeError):
     instead of silently re-branching because results past the threshold have
     no guaranteed branch structure.
     """
-
-
-class SemiTrivialCollapse(RuntimeError):
-    """A component collapsed to zero twice despite a noise restart."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,6 @@ class SolveReport:
     norm_min: float  # min ||iterate|| over the run (the m of the norm bounds)
     norm_max: float  # max ||iterate|| over the run (the M)
     tau_bound: float | None  # N- only: norm_sq/sqrt(3A), the origin gap
-    noise_injected: bool
     config: SolverConfig
     # one (energy, norm, source pairing, branch indicator) row per iterate
     history: tuple[tuple[float, float, float, float], ...] = field(default=(), repr=False)
@@ -268,7 +260,8 @@ def minimize(
     max-norm exceeds grad_tol, for at most max_iters steps or until no trial
     step lowers the energy; converged is the stop rule (_stop_checks) of the
     final state.  Raises BranchVanished if the branch root disappears along
-    the way, SemiTrivialCollapse if one component dies twice.
+    the way.  A state with a vanishing component is reported as it is;
+    verify_solution's state_nontrivial check rejects it.
     """
     cfg = cfg or SolverConfig()
     if params.grid != grid:
@@ -277,7 +270,6 @@ def minimize(
         init = auto_init(branch, params, cfg.seed)
 
     solve1, solve2 = _riesz_solves(params)
-    noise_rng = np.random.default_rng(cfg.seed + 1)
 
     try:
         p = retract(init, params, branch)
@@ -286,7 +278,6 @@ def minimize(
 
     rd = evaluate(params, p.u.values, p.v.values)
     hist = [_history(rd)]  # one row per iterate, so len(hist) - 1 steps taken
-    noise_injected = False
 
     while rd.grad_norm > cfg.grad_tol and len(hist) <= cfg.max_iters:
         if solve1 is solve2:
@@ -321,35 +312,10 @@ def minimize(
                 )
             break  # energy is converged to rounding level; report as-is
         u, v = t * (rd.u - eta * du), t * (rd.v - eta * dv)
-
-        # semi-trivial guard: a component collapsing to zero means the
-        # iterate is drifting toward a state the system does not admit for
-        # nonzero sources; kick it once, abort on a second collapse.
-        nu, nv = (math.sqrt(float((w**2).sum() * grid.cell_volume)) for w in (u, v))
-        scale = math.hypot(nu, nv)
-        if scale > 0 and min(nu, nv) < _COLLAPSE_REL * scale:
-            if noise_injected:
-                raise SemiTrivialCollapse(
-                    f"component norms ({nu:.3g}, {nv:.3g}) collapsed again "
-                    "after a noise restart"
-                )
-            noise_injected = True
-            amp = _NOISE_REL * max_norm(u, v)
-            kick = noise_rng.standard_normal(grid.size)
-            uu = u + (amp * kick if nu < nv else 0.0)
-            vv = v + (amp * kick if nv <= nu else 0.0)
-            try:
-                p = retract(Pair(Field(grid, uu), Field(grid, vv)), params, branch)
-            except NoSuchBranch as exc:
-                raise BranchVanished(
-                    f"noise restart left the {branch} root region: {exc}"
-                ) from exc
-            u, v = p.u.values, p.v.values
-
         rd = evaluate(params, u, v)
         hist.append(_history(rd))
 
-    return _build_report(branch, rd, params, cfg, noise_injected, hist)
+    return _build_report(branch, rd, params, cfg, hist)
 
 
 def _history(rd: RayData) -> tuple[float, float, float, float]:
@@ -357,7 +323,7 @@ def _history(rd: RayData) -> tuple[float, float, float, float]:
     return rd.energy, math.sqrt(rd.norm_sq), rd.source, rd.indicator
 
 
-def _build_report(branch, rd, params, cfg, noise_injected, hist) -> SolveReport:
+def _build_report(branch, rd, params, cfg, hist) -> SolveReport:
     grid = params.grid
     p = Pair(Field(grid, rd.u), Field(grid, rd.v))
     # the public functions re-evaluate p; they equal rd's values bit for bit
@@ -378,7 +344,6 @@ def _build_report(branch, rd, params, cfg, noise_injected, hist) -> SolveReport:
         norm_min=min(row[1] for row in hist),
         norm_max=max(row[1] for row in hist),
         tau_bound=rd.origin_gap if branch == N_MINUS else None,
-        noise_injected=noise_injected,
         config=cfg,
         history=tuple(hist),
     )
@@ -399,11 +364,9 @@ def minimize_over_seeds(
     relative, rather than asserting they coincide.
     """
     cfg = cfg or SolverConfig()
-    reports = []
-    for s in seeds:
-        reports.append(minimize(branch, params, grid, replace(cfg, seed=int(s))))
-        if branch == N_PLUS and not reports[-1].noise_injected:
-            break  # auto_init(N+) ignores the seed: later runs would repeat this one
+    # auto_init(N+) ignores the seed, so later N+ runs would repeat the first
+    seeds = seeds[:1] if branch == N_PLUS else seeds
+    reports = [minimize(branch, params, grid, replace(cfg, seed=int(s))) for s in seeds]
     best = min(reports, key=lambda r: r.theta)
     converged = [r.theta for r in reports if r.converged]
     disagree = False

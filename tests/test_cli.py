@@ -809,13 +809,15 @@ def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
         write_json(doc, "solve_report", path)
         assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK, key
         assert capsys.readouterr().out == before, key
-    # a report of the older format, whose config still carries nehari_tol;
-    # write_json refuses it, so it is written as plain JSON
+    # reports of older formats, whose config still carries nehari_tol or which
+    # still carry noise_injected; write_json refuses them, so each is written
+    # as plain JSON
     doc = load_json(path)
-    doc["config"]["nehari_tol"] = 1e-10
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    assert "nehari_tol" in capsys.readouterr().err
+    for key, old in (("nehari_tol", {"config": {**doc["config"], "nehari_tol": 1e-10}}),
+                     ("noise_injected", {"noise_injected": False})):
+        Path(path).write_text(json.dumps({**doc, **old}), encoding="utf-8")
+        assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG, key
+        assert key in capsys.readouterr().err, key
 
 
 def test_load_schema_returns_a_fresh_dict_of_text_read_once():
@@ -894,7 +896,7 @@ def solve_reports(draw):
         pde_scale=draw(_FINITE), positive=(draw(st.booleans()), draw(st.booleans())),
         iterations=draw(st.integers(0, 10**9)), converged=draw(st.booleans()),
         norm_min=draw(_FINITE), norm_max=draw(_FINITE),
-        tau_bound=draw(st.none() | _FINITE), noise_injected=draw(st.booleans()), config=config,
+        tau_bound=draw(st.none() | _FINITE), config=config,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -52,6 +53,17 @@ def test_spacing_derived_exactly():
     for k in range(2):
         assert g.spacing[k] == g.extents[k] / (g.points[k] + 1)
     assert g.cell_volume == g.spacing[0] * g.spacing[1]
+    assert g.spacing is g.spacing  # derived once per grid
+
+
+def test_a_grid_survives_a_pickle_round_trip():
+    # sweep --jobs sends its problems, grids included, to the workers by pickle
+    g = Grid(2, (1.0, 2.5), (99, 39))
+    spacing = g.spacing  # read first, so the pickle carries it
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g == Grid(2, (1.0, 2.5), (99, 39))
+    assert hash(back) == hash(g) and repr(back) == repr(g)
+    assert back.spacing == spacing
 
 
 def test_field_validation(grid_1d):
