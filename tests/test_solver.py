@@ -298,6 +298,17 @@ def test_a_vanishing_component_fails_only_state_nontrivial():
     assert [c.name for c in checks if not c.passed] == ["state_nontrivial"]
 
 
+def test_a_vanishing_component_on_the_bound_branch_fails_only_state_nontrivial():
+    # the N- descent from the same start takes several steps, none of which
+    # revives v; the state is reported as it is, not kicked or refused
+    grid, params, init = _collapsing_start()
+    rep = minimize(N_MINUS, params, grid, init=init)
+    assert rep.converged and rep.iterations > 1
+    assert not rep.state.v.values.any() and rep.state.u.values.any()
+    checks = verify_solution(rep, params, s4=estimate_s4(grid, 1.0))
+    assert [c.name for c in checks if not c.passed] == ["state_nontrivial"]
+
+
 @pytest.fixture(scope="module")
 def problem_49():
     return build_problem(n=49)
