@@ -105,10 +105,14 @@ def _build_source(grid: Grid, spec: dict, where: str) -> Field:
     center, width = np.atleast_1d(num["center"]), float(num["width"])
     if center.shape != (grid.dim,):
         raise ConfigError(f"config error at {where}.center: must have {grid.dim} entries")
-    if not width > 0:
-        raise ConfigError(f"config error at {where}.width: must be positive, got {width}")
-    r2 = sum((c - center[k]) ** 2 for k, c in enumerate(grid.node_coords()))
-    return Field(grid, float(num["amplitude"]) * np.exp(-r2 / (2.0 * width**2)))
+    # numpy squares as float ** 2 does, but overflows to inf where float ** 2 raises
+    with np.errstate(over="ignore"):
+        two_var = 2.0 * np.float64(width) ** 2
+    if not (width > 0 and two_var > 0):
+        raise ConfigError(f"config error at {where}.width: {width} or its square is not positive")
+    with np.errstate(over="ignore"):  # exp(-inf) = 0: a Gaussian far narrower than the mesh
+        r2 = sum((c - center[k]) ** 2 for k, c in enumerate(grid.node_coords()))
+        return Field(grid, float(num["amplitude"]) * np.exp(-r2 / two_var))
 
 
 def _config_grid(cfg: dict) -> Grid:
@@ -272,16 +276,14 @@ def run_solve(problem: Problem, out_dir) -> tuple[int, dict]:
         )
         return EXIT_THRESHOLD, {}
 
-    params, solver_cfg = problem.params, problem.solver_cfg
+    params, solver_cfg, seeds = problem.params, problem.solver_cfg, problem.branch_seeds
     nonneg = params.f.values.min() >= 0 and params.g.values.min() >= 0
     reports: dict[str, SolveReport] = {}
     for branch, stem in ((N_PLUS, "ground_state"), (N_MINUS, "bound_state")):
         try:
             # a state past float range raises a ValueError; numpy stays quiet
             with np.errstate(over="ignore", invalid="ignore"):
-                rep, disagree = minimize_over_seeds(
-                    branch, params, params.grid, solver_cfg, seeds=problem.branch_seeds
-                )
+                rep, disagree = minimize_over_seeds(branch, params, solver_cfg, seeds)
                 if nonneg and rep.converged:
                     rep = positivity_rescale(rep, params)
         except (RuntimeError, ValueError) as exc:

@@ -129,6 +129,8 @@ def analyze(norm_sq: float, quartic: float, source: float) -> FiberingAnalysis:
 
 def analyze_direction(p: Pair, params: Params) -> FiberingAnalysis:
     """Fibering analysis along the ray through the (nonzero) state p."""
+    if p.grid != params.grid:
+        raise ValueError("the direction does not live on the grid of the params sources")
     rd = evaluate(params, p.u.values, p.v.values)
     if rd.norm_sq == 0.0:
         raise ValueError("cannot analyze the zero direction")

@@ -151,17 +151,21 @@ def _shift_solve(grid: Grid, lam: float):
     return solve
 
 
-# one factor pair per problem, shared by both branches, every seed and the
-# positivity rescale; weak keys, so it lives exactly as long as its Params
+# one solve per problem, shared by both branches, every seed and the positivity
+# rescale: a two-row solve of one factor when lam1 == lam2, one factor per
+# component otherwise; weak keys, so it lives exactly as long as its Params
 _RIESZ: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _riesz_solves(params: Params):
-    """The solves of (-lap + lam1) and (-lap + lam2) for params, factored once."""
+def _riesz_solve(params: Params):
+    """blockdiag(-lap + lam1, -lap + lam2)^-1 as one map of the (2, N) residual to (du, dv)."""
     if params not in _RIESZ:
         solve1 = _shift_solve(params.grid, params.lam1)
-        same = params.lam2 == params.lam1
-        _RIESZ[params] = (solve1, solve1 if same else _shift_solve(params.grid, params.lam2))
+        if params.lam2 == params.lam1:
+            _RIESZ[params] = solve1
+        else:
+            solve2 = _shift_solve(params.grid, params.lam2)
+            _RIESZ[params] = lambda r: (solve1(r[0]), solve2(r[1]))
     return _RIESZ[params]
 
 
@@ -268,8 +272,7 @@ def minimize(
         raise ValueError("params sources do not live on the given grid")
     if init is None:
         init = auto_init(branch, params, cfg.seed)
-
-    solve1, solve2 = _riesz_solves(params)
+    solve = _riesz_solve(params)
 
     try:
         p = retract(init, params, branch)
@@ -280,10 +283,7 @@ def minimize(
     hist = [_history(rd)]  # one row per iterate, so len(hist) - 1 steps taken
 
     while rd.grad_norm > cfg.grad_tol and len(hist) <= cfg.max_iters:
-        if solve1 is solve2:
-            du, dv = solve1(rd.residual)
-        else:
-            du, dv = solve1(rd.residual[0]), solve2(rd.residual[1])
+        du, dv = solve(rd.residual)
         polys, slope = _line_polynomials(rd, du, dv, params)
 
         j = rd.energy
@@ -352,7 +352,6 @@ def _build_report(branch, rd, params, cfg, hist) -> SolveReport:
 def minimize_over_seeds(
     branch: str,
     params: Params,
-    grid: Grid,
     cfg: SolverConfig | None = None,
     seeds: tuple[int, ...] = (0,),
 ) -> tuple[SolveReport, bool]:
@@ -366,7 +365,7 @@ def minimize_over_seeds(
     cfg = cfg or SolverConfig()
     # auto_init(N+) ignores the seed, so later N+ runs would repeat the first
     seeds = seeds[:1] if branch == N_PLUS else seeds
-    reports = [minimize(branch, params, grid, replace(cfg, seed=int(s))) for s in seeds]
+    reports = [minimize(branch, params, params.grid, replace(cfg, seed=int(s))) for s in seeds]
     best = min(reports, key=lambda r: r.theta)
     converged = [r.theta for r in reports if r.converged]
     disagree = False
@@ -446,6 +445,8 @@ def verify_solution(
     test pairs.  The tolerances are report.config's and the solver's;
     every check runs whatever report.converged says.
     """
+    if report.state.grid != params.grid:
+        raise ValueError("the report's state does not live on the grid of the params sources")
     checks: list[CheckResult] = []
 
     def add(name, passed, detail):

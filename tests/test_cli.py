@@ -1012,12 +1012,14 @@ def test_non_finite_config_numbers_are_config_errors(
         ({"kind": "gaussian", "center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0}, "center"),
         ({"kind": "gaussian", "center": [0.5], "width": 0.0, "amplitude": 1.0}, "width"),
         ({"kind": "gaussian", "center": [0.5], "width": -0.1, "amplitude": 1.0}, "width"),
+        ({"kind": "gaussian", "center": [0.5], "width": 1e-300, "amplitude": 1.0}, "width"),
     ],
     ids=["constant-value", "gaussian-center", "gaussian-width", "gaussian-amplitude",
          "eigen-amplitude", "constant-value-list", "csv-path-int", "csv-path-null",
          "eigen-kind-list", "gaussian-width-object", "gaussian-width-string",
          "eigen-amplitude-bool", "csv-no-path", "gaussian-no-amplitude",
-         "gaussian-center-length", "gaussian-width-zero", "gaussian-width-negative"],
+         "gaussian-center-length", "gaussian-width-zero", "gaussian-width-negative",
+         "gaussian-width-square-underflows"],
 )
 @pytest.mark.parametrize("command", ["solve", "threshold"])
 def test_bad_source_numbers_are_config_errors(
@@ -1045,6 +1047,18 @@ def test_bad_source_numbers_are_config_errors(
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and f"sources.g.{key}" in err
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("width, nonzero", [(1e-160, 1), (1e200, 49)])
+def test_gaussian_far_narrower_or_wider_than_the_mesh(tmp_path, width, nonzero):
+    # the narrow one is a spike on its center node, the wide one a constant;
+    # the square of neither is a positive normal float
+    cfg = readme_config(tmp_path / "c.json")
+    cfg.write_text(cfg.read_text().replace('"width": 0.1', f'"width": {width!r}'))
+    assert main(["threshold", "--config", str(cfg)]) == EXIT_OK
+    g = cli.resolve_problem(cli.load_config(cfg)).params.g.values
+    assert np.count_nonzero(g) == nonzero and g.max() == g[24] > 0
+    assert nonzero == 1 or np.ptp(g) == 0
 
 
 @pytest.mark.parametrize("command", ["solve", "threshold"])

@@ -15,8 +15,8 @@ from nehari.fibering import (
     analyze_direction,
     retract,
 )
-from nehari.functional import energy
-from nehari.grid import Grid
+from nehari.functional import Params, energy
+from nehari.grid import Grid, Pair, first_eigenvector
 
 from conftest import build_problem, random_pair, ray, scan_roots
 
@@ -26,6 +26,17 @@ def test_analyze_validates_inputs():
         analyze(0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         analyze(1.0, -1.0, 0.1)
+
+
+def test_a_direction_on_another_grid_is_refused():
+    # same node count, twice the extent; retract analyzes the direction first
+    a, b = Grid(1, (1.0,), (49,)), Grid(1, (2.0,), (49,))
+    ea, eb = first_eigenvector(a), first_eigenvector(b)
+    params = Params(1.0, 1.0, 1.0, 1.0, 0.5, ea.scaled(0.1), ea.scaled(0.1))
+    analyze_direction(Pair(ea, ea), params)
+    for call in (lambda p: analyze_direction(p, params), lambda p: retract(p, params, N_MINUS)):
+        with pytest.raises(ValueError, match="grid"):
+            call(Pair(eb, eb))
 
 
 def test_unit_cubic_no_source():

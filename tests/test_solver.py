@@ -34,7 +34,7 @@ from nehari.solver import (
     SolverConfig,
     _line_polynomials,
     _line_trial,
-    _riesz_solves,
+    _riesz_solve,
     auto_init,
     minimize,
     positivity_rescale,
@@ -226,7 +226,7 @@ def test_seeds_agree_on_bound_state_energy():
 
 def test_minimize_over_seeds_runs_nplus_once(small_problem, monkeypatch):
     # auto_init(N+) ignores the seed, so a second seed could not change the result
-    grid, params, _s4, _rep = small_problem
+    _grid, params, _s4, _rep = small_problem
     real, calls = solver.minimize, []
 
     def counted(*args, **kwargs):
@@ -234,7 +234,7 @@ def test_minimize_over_seeds_runs_nplus_once(small_problem, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "minimize", counted)
-    best, disagree = solver.minimize_over_seeds(N_PLUS, params, grid, seeds=(0, 1, 2))
+    best, disagree = solver.minimize_over_seeds(N_PLUS, params, seeds=(0, 1, 2))
     assert len(calls) == 1
     assert best.config.seed == 0 and not disagree
 
@@ -243,7 +243,7 @@ def test_minimize_over_seeds_returns_best_without_disagreement(small_problem):
     from nehari.solver import minimize_over_seeds
 
     grid, params, _s4, _rep = small_problem
-    best, disagree = minimize_over_seeds(N_MINUS, params, grid, seeds=(0, 1))
+    best, disagree = minimize_over_seeds(N_MINUS, params, seeds=(0, 1))
     assert not disagree
     singles = [
         minimize(N_MINUS, params, grid, SolverConfig(seed=s)).theta for s in (0, 1)
@@ -396,6 +396,15 @@ def test_verify_solution_rejects_zero_state(solved):
     assert not checks["branch_sign"]
 
 
+def test_verify_solution_refuses_a_state_on_another_grid(solved):
+    # same node count, twice the extent: the checks would compare unlike quadratures
+    grid, params, s4, plus, _minus = solved
+    other = Grid(1, (2.0,), grid.points)
+    moved = replace(params, f=Field(other, params.f.values), g=Field(other, params.g.values))
+    with pytest.raises(ValueError, match="grid"):
+        verify_solution(plus, moved, s4=s4)
+
+
 def test_verify_solution_detects_perturbation(solved, rng):
     grid, params, s4, plus, _minus = solved
     noisy = Pair(
@@ -444,9 +453,7 @@ def test_line_polynomials_match_explicit_retraction(seed, dim, beta, log_eta):
     u, v = (rng.uniform(0.1, 10.0) * e * (1.0 + 0.3 * rng.standard_normal(grid.size))
             for _ in range(2))
     rd = evaluate(params, u, v)
-    solve1, solve2 = _riesz_solves(params)
-    du, dv = (solve(t.sum(axis=0)) for solve, t in zip((solve1, solve2),
-                                                       residual_terms(params, u, v)))
+    du, dv = _riesz_solve(params)(residual_terms(params, u, v).sum(axis=1))
     polys, _slope = _line_polynomials(rd, du, dv, params)
     eta = 10.0**log_eta
     q = Pair(Field(grid, u - eta * du), Field(grid, v - eta * dv))
@@ -546,8 +553,7 @@ def test_line_trial_evaluates_like_polyval(small_problem):
     grid, params, _s4, _rep = small_problem
     p = auto_init(N_MINUS, params, 3)
     rd = evaluate(params, p.u.values, p.v.values)
-    solve1, solve2 = _riesz_solves(params)
-    polys, _slope = _line_polynomials(rd, solve1(rd.residual[0]), solve2(rd.residual[1]), params)
+    polys, _slope = _line_polynomials(rd, *_riesz_solve(params)(rd.residual), params)
     for eta in 2.0 ** -np.arange(0, 40, 3):
         n, a, b = (float(np_polyval(eta, c)) for c in polys)
         t = solver.branch_root(solver.analyze(n, a, b), N_MINUS)
@@ -689,8 +695,10 @@ def test_unequal_lams_solve_with_two_factors_and_verify():
     probe = Params(1.0, 2.0, 1.0, 1.0, 0.5, e, e)
     eps = 0.5 * compute_threshold(probe, grid, s4).lambda_threshold / l43_norm(e)
     params = Params(1.0, 2.0, 1.0, 1.0, 0.5, e.scaled(eps), e.scaled(eps))
-    solve1, solve2 = _riesz_solves(params)
-    assert solve1 is not solve2
+    # each row goes through the factor of its own lam
+    r = np.random.default_rng(0).standard_normal((2, grid.size))
+    for d, lam, row in zip(_riesz_solve(params)(r), (1.0, 2.0), r):
+        assert np.array_equal(d, solver._shift_solve(grid, lam)(row))
     plus = minimize(N_PLUS, params, grid)
     minus = minimize(N_MINUS, params, grid)
     assert plus.theta < 0.0 and plus.theta < minus.theta

@@ -200,6 +200,13 @@ def test_threshold_closed_form():
     assert rep.alpha == pytest.approx((2.0 / 3.0) * math.sqrt(1.0 / (3.0 * s4**4)), rel=1e-15)
 
 
+def test_compute_threshold_refuses_a_grid_that_is_not_the_sources():
+    a, b = Grid(1, (1.0,), (49,)), Grid(1, (2.0,), (49,))
+    e = first_eigenvector(a)
+    with pytest.raises(ValueError, match="grid"):
+        compute_threshold(Params(1.0, 1.0, 1.0, 1.0, 0.5, e, e), b, 0.34)
+
+
 def test_threshold_beta_sign_switch():
     g = Grid(1, (1.0,), (49,))
     z = zero_field(g)
