@@ -21,7 +21,6 @@ the exact derivative of the discrete energy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -151,18 +150,17 @@ def residual_terms(params: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return terms
 
 
-def evaluate(params: Params, u: np.ndarray, v: np.ndarray, terms=None) -> RayData:
+def evaluate(params: Params, u: np.ndarray, v: np.ndarray) -> RayData:
     """Evaluate the state (u, v) with one stencil pass per component.
 
     Each component's five signed rows are added in order into its residual,
     with the bits of the column sums of residual_terms, and each row is
     dropped once added; the first two add up to the energy row (-lap + lam) w.
     N pairs the energy rows with the state, A the squares with each other and
-    B the sources with the state.  A caller holding residual_terms(params, u,
-    v) passes it as terms, and the stencil is not applied again.
+    B the sources with the state.
     """
     uu, vv = u * u, v * v
-    rows = _signed_rows(params, u, v, uu, vv) if terms is None else itertools.chain(*terms)
+    rows = _signed_rows(params, u, v, uu, vv)
     residual, energy_rows = np.empty((2, u.size)), []
     for res in residual:
         energy_rows.append(next(rows) + next(rows))
@@ -180,9 +178,8 @@ def evaluate(params: Params, u: np.ndarray, v: np.ndarray, terms=None) -> RayDat
 
 
 def max_norm(*arrays: np.ndarray) -> float:
-    """Largest absolute entry over the given nodal arrays, with no |a| copy."""
-    # max and min both give NaN for a NaN entry; abs() turns a -0.0 maximum into 0.0
-    return float(max(abs(max(a.max(), -a.min())) for a in arrays))
+    """Largest absolute entry over the given nodal arrays; NaN if any entry is NaN."""
+    return float(np.max([np.abs(a).max() for a in arrays]))
 
 
 def polyval(c, x: float) -> float:

@@ -309,8 +309,7 @@ def _problem(seed, dim, same_lam):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((1, 2)), same_lam=st.booleans())
 def test_the_residual_is_the_column_sum_of_the_stacked_terms(seed, dim, same_lam):
-    # bit for bit: evaluate adds the rows in the order the stack sums them,
-    # and evaluating the held stack gives the same result
+    # bit for bit: evaluate adds the rows in the order the stack sums them
     params, u, v = _problem(seed, dim, same_lam)
     rd = evaluate(params, u, v)
     terms = residual_terms(params, u, v)
@@ -318,9 +317,6 @@ def test_the_residual_is_the_column_sum_of_the_stacked_terms(seed, dim, same_lam
     assert rd.residual.tobytes() == np.stack([t.sum(axis=0) for t in terms]).tobytes()
     for e, t in zip(rd.energy_rows, terms):
         assert e.tobytes() == t[:2].sum(axis=0).tobytes()
-    again = evaluate(params, u, v, terms)
-    assert again.residual.tobytes() == rd.residual.tobytes()
-    assert (again.norm_sq, again.quartic, again.source) == (rd.norm_sq, rd.quartic, rd.source)
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,11 +343,18 @@ def test_ray_data_equal_the_row_pairings(seed, dim, same_lam):
         min_size=1, max_size=3,
     ),
     nan=st.booleans(),
+    at=st.integers(0, 2**16),
 )
-def test_max_norm_equals_the_largest_absolute_entry(rows, nan):
-    # the bits of max(|a|.max() ...), signed zeros and a NaN entry included
+def test_max_norm_equals_the_largest_absolute_entry(rows, nan, at):
+    # the bits of the largest |entry|, signed zeros included; a NaN in any
+    # array, at any position, makes it NaN
     arrays = [np.array(r) for r in rows]
     if nan:
-        arrays[-1][-1] = math.nan
-    want = float(max(np.abs(a).max() for a in arrays))
-    assert np.float64(max_norm(*arrays)).tobytes() == np.float64(want).tobytes()
+        a = arrays[at % len(arrays)]
+        a[at // len(arrays) % a.size] = math.nan
+    entries = np.abs(np.concatenate(arrays))
+    got = max_norm(*arrays)
+    if nan:
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(np.sort(entries)[-1]).tobytes()

@@ -416,13 +416,14 @@ def test_verify_solution_detects_perturbation(solved, rng):
     assert not checks["weak_form"]
 
 
-def test_verify_solution_applies_the_stencil_once_per_component(solved, monkeypatch):
+def test_verify_solution_applies_the_stencil_twice_per_component(solved, monkeypatch):
     # every check but the s4 estimate follows from one evaluation of the state
+    # and, for pde_residual and weak_form, one stack of its terms
     _grid, params, s4, plus, _minus = solved
     calls = count_stencil_calls(monkeypatch)
     checks = verify_solution(plus, params, s4=s4)
     assert all(c.passed for c in checks)
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_descent_applies_the_stencil_once_per_component_per_step(monkeypatch):
