@@ -337,6 +337,8 @@ def cmd_threshold(args) -> int:
 def cmd_fibering(args) -> int:
     if args.direction == "csv" and not (args.u and args.v):
         raise ConfigError("csv direction needs --u and --v field files")
+    if args.direction != "csv" and (args.u, args.v) != (None, None):
+        raise ConfigError("--u and --v need --direction csv")
     params = _resolve(args, load_config(args.config)).params
     if args.direction == "sources":
         direction = Pair(params.f, params.g)
@@ -385,6 +387,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must not repeat, got {args.values!r}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if getattr(args, args.parameter) is not None:  # each swept value would replace it
+        name = args.parameter
+        raise ConfigError(f"--{name} cannot be combined with --parameter {name}")
 
     # every value is resolved, and so validated, before any is solved; no
     # swept parameter enters s4, so the first value's estimate serves them all

@@ -93,8 +93,8 @@ class RayData(NamedTuple):
 
     @property
     def nehari_residual(self) -> float:
-        """|N - A - B| / N, the relative constraint residual (0 for the zero state)."""
-        return abs(self.constraint) / self.norm_sq if self.norm_sq > 0 else 0.0
+        """|N - A - B| / N, the relative constraint residual (0 for N = 0, NaN for N NaN)."""
+        return abs(self.constraint) / self.norm_sq if self.norm_sq != 0 else 0.0
 
     @property
     def indicator(self) -> float:

@@ -171,13 +171,12 @@ def _riesz_solve(params: Params):
 
 def pde_residual_scale(rd: RayData, terms: np.ndarray) -> tuple[float, float]:
     """Max-norm of the strong residual and of the scale of its terms (residual_terms of rd)."""
-    scale = max(np.abs(t).sum(axis=0).max() for t in terms)
-    return max_norm(*rd.residual), float(scale)
+    return max_norm(*rd.residual), float(np.max([np.abs(t).sum(axis=0).max() for t in terms]))
 
 
 def _stop_checks(rd: RayData, cfg: SolverConfig, branch: str) -> list[CheckResult]:
     """The stop rule: on the manifold, on the branch and below grad_tol."""
-    on_branch = rd.indicator > 0 if branch == N_PLUS else rd.indicator < 0
+    on_branch = 0 < (rd.indicator if branch == N_PLUS else -rd.indicator) < math.inf
     return [
         CheckResult("on_manifold", rd.nehari_residual <= _NEHARI_TOL,
                     f"|Phi|/||p||^2 = {rd.nehari_residual:.3e} (tol {_NEHARI_TOL:.1e})"),
@@ -426,9 +425,9 @@ def weak_form_residual(terms, seed: int) -> float:
     for tu, tv in _test_pairs(operator.index(seed), terms_u.shape[1]):
         pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
         tscale = np.abs(pairings).sum()
-        if tscale > 0:
-            worst = max(worst, float(abs(pairings.sum()) / tscale))
-    return worst
+        if tscale != 0:  # a NaN pairing makes tscale, and so the worst ratio, NaN
+            worst = np.maximum(worst, abs(pairings.sum()) / tscale)
+    return float(worst)
 
 
 def verify_solution(
@@ -443,14 +442,15 @@ def verify_solution(
     are nonzero, the on-manifold energy identity, the coercivity lower bound
     (with the supplied Sobolev constant s4), and the weak form against random
     test pairs.  The tolerances are report.config's and the solver's;
-    every check runs whatever report.converged says.
+    every check runs whatever report.converged says, and fails on any
+    non-finite number it reads.
     """
     if report.state.grid != params.grid:
         raise ValueError("the report's state does not live on the grid of the params sources")
     checks: list[CheckResult] = []
 
-    def add(name, passed, detail):
-        checks.append(CheckResult(name, bool(passed), detail))
+    def add(name, passed, detail, *read):
+        checks.append(CheckResult(name, bool(passed) and all(map(math.isfinite, read)), detail))
 
     p = report.state
     rd = evaluate(params, p.u.values, p.v.values)
@@ -461,6 +461,7 @@ def verify_solution(
         "state_nontrivial",
         nu > 1e-6 * norm and nv > 1e-6 * norm,
         f"component norms ({nu:.6g}, {nv:.6g}) vs pair norm {norm:.6g}",
+        nu, nv, norm,
     )
 
     checks += _stop_checks(rd, report.config, report.branch)
@@ -469,16 +470,18 @@ def verify_solution(
         "theta_matches_energy",
         abs(j - report.theta) <= 1e-12 * (1.0 + abs(j)),
         f"recomputed J = {j!r}, reported theta = {report.theta!r}",
+        j, report.theta,
     )
 
     if report.branch == N_PLUS:
-        add("ground_energy_negative", j < 0.0, f"theta+ = {j:.6g}")
+        add("ground_energy_negative", j < 0.0, f"theta+ = {j:.6g}", j)
 
     slack = 1e-12 * (1.0 + norm)
     add(
         "norm_bounds",
         0.0 < report.norm_min <= norm + slack and norm <= report.norm_max + slack,
         f"0 < {report.norm_min:.6g} <= {norm:.6g} <= {report.norm_max:.6g}",
+        report.norm_min, norm, report.norm_max,
     )
 
     if report.branch == N_MINUS:
@@ -488,6 +491,7 @@ def verify_solution(
             tau is not None and nsq < 3.0 * quartic and norm > tau * (1.0 - 1e-12),
             f"||p||^2 = {nsq:.6g} < 3A = {3.0 * quartic:.6g}, "
             f"||p|| = {norm:.6g} > tau = {math.nan if tau is None else tau:.6g}",
+            nsq, quartic,
         )
 
     identity_res = abs(j - (0.25 * nsq - 0.75 * b))
@@ -495,6 +499,7 @@ def verify_solution(
         "energy_identity",
         identity_res <= 1e-8 * (1.0 + abs(j)),
         f"|J - (||p||^2/4 - 3B/4)| = {identity_res:.3e}",
+        identity_res,
     )
 
     coercive_floor = 0.25 * nsq - (3.0 * math.sqrt(2.0) / 4.0) * s4 * max(
@@ -504,6 +509,7 @@ def verify_solution(
         "coercivity",
         j >= coercive_floor - 1e-9 * (1.0 + abs(j)),
         f"J = {j:.6g} >= floor {coercive_floor:.6g}",
+        j, coercive_floor,
     )
 
     # the two checks that read the residual's terms one by one
@@ -513,6 +519,7 @@ def verify_solution(
         "pde_residual",
         res <= _PDE_RESIDUAL_REL * scale,
         f"strong residual {res:.3e} vs {_PDE_RESIDUAL_REL:.0e} * scale {scale:.6g}",
+        res, scale,
     )
 
     worst = weak_form_residual(terms, seed)
@@ -520,6 +527,7 @@ def verify_solution(
         "weak_form",
         worst <= 1e-6,
         f"worst relative weak-form residual {worst:.3e} over {_WEAK_FORM_PAIRS} pairs",
+        worst,
     )
 
     pos_now = (_component_positive(rd.u), _component_positive(rd.v))

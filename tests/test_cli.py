@@ -562,6 +562,31 @@ def test_sweep_rejects_jobs_below_one_before_running(config, tmp_path, monkeypat
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("parameter, flag", [("beta", "0.25"), ("rho", "0.4")])
+def test_sweep_rejects_a_flag_that_its_swept_values_replace(
+    config, tmp_path, monkeypatch, capsys, parameter, flag
+):
+    calls = count_s4_estimates(monkeypatch)
+    out = tmp_path / "sw"
+    assert main(
+        ["sweep", "--config", config, "--out", str(out), "--parameter", parameter,
+         "--values", "0.5", f"--{parameter}", flag]
+    ) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--{parameter} " in err and f"--parameter {parameter}" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("direction", ["sources", "eigen"])
+@pytest.mark.parametrize("files", [["--u", "u.csv", "--v", "v.csv"], ["--u", "u.csv"],
+                                   ["--v", "v.csv"]])
+def test_fibering_rejects_field_files_without_the_csv_direction(config, capsys, direction, files):
+    # the files would be ignored, so they are refused before any is opened
+    assert main(["fibering", "--config", config, "--direction", direction, *files]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--u and --v need --direction csv" in captured.err and captured.out == ""
+
+
 def test_fibering_takes_no_out(config, capsys):
     # fibering only prints, so an --out would do nothing
     with pytest.raises(SystemExit) as exc:

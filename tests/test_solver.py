@@ -37,6 +37,7 @@ from nehari.solver import (
     _riesz_solve,
     auto_init,
     minimize,
+    pde_residual_scale,
     positivity_rescale,
     verify_solution,
     weak_form_residual,
@@ -424,6 +425,54 @@ def test_verify_solution_applies_the_stencil_twice_per_component(solved, monkeyp
     checks = verify_solution(plus, params, s4=s4)
     assert all(c.passed for c in checks)
     assert len(calls) == 4
+
+
+def test_a_state_whose_terms_overflow_fails_the_checks_that_read_them():
+    # u = 0 and v = 1e160 at one node are finite, so a Field and a state CSV
+    # take them; -beta*u*v^2 is then 0*inf = NaN and the norm is inf
+    grid, params, s4, _rep = build_problem(n=49)
+    rep = minimize(N_PLUS, params, grid)
+    u, v = rep.state.u.values.copy(), rep.state.v.values.copy()
+    u[7], v[7] = 0.0, 1e160
+    bad = replace(rep, state=Pair(Field(grid, u), Field(grid, v)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = {c.name: c for c in verify_solution(bad, params, s4=s4)}
+    for name in ("weak_form", "norm_bounds", "pde_residual"):
+        assert not checks[name].passed, checks[name].detail
+
+
+@pytest.mark.parametrize("field, value, name", [("norm_sq", math.nan, "on_manifold"),
+                                                 ("quartic", math.inf, "branch_sign")])
+def test_a_stop_check_fails_on_a_non_finite_number_it_reads(solved, field, value, name):
+    # a NaN N once read as a zero constraint residual, and an infinite A as
+    # an indicator of the N- sign
+    _grid, params, _s4, _plus, minus = solved
+    rd = evaluate(params, minus.state.u.values, minus.state.v.values)
+    for data, passed in ((rd, True), (rd._replace(**{field: value}), False)):
+        checks = {c.name: c.passed for c in solver._stop_checks(data, minus.config, N_MINUS)}
+        assert checks[name] is passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.one_of(st.tuples(st.integers(3, 12)),
+                     st.tuples(st.integers(3, 6), st.integers(3, 6))),
+    component=st.sampled_from((0, 1)),
+    at=st.integers(0, 2**16),
+)
+def test_a_nan_in_either_component_reaches_every_reduction(seed, points, component, at):
+    grid = Grid(len(points), (1.0,) * len(points), points)
+    e = first_eigenvector(grid)
+    params = Params(1.0, 1.0, 1.0, 1.0, 0.5, e, e.scaled(0.5))
+    state = np.random.default_rng(seed).standard_normal((2, grid.size))
+    state[component, at % grid.size] = math.nan
+    u, v = state
+    terms = residual_terms(params, u, v)
+    assert math.isnan(max_norm(u, v)) and math.isnan(max_norm(v, u))
+    res, scale = pde_residual_scale(evaluate(params, u, v), terms)
+    assert math.isnan(res) and math.isnan(scale)
+    assert math.isnan(weak_form_residual(terms, seed=0))
 
 
 def test_descent_applies_the_stencil_once_per_component_per_step(monkeypatch):
