@@ -38,8 +38,6 @@ import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fibering import N_MINUS, N_PLUS, NoSuchBranch, analyze, branch_root, retract
 from .functional import (Params, RayData, energy, evaluate, gradient, max_norm, polyval,
@@ -133,6 +131,11 @@ def _shift_solve(grid: Grid, lam: float):
     the same shape; a stack reaches the factor as one F-ordered right-hand
     side, so each returned row is contiguous.
     """
+    # scipy is imported on the first factorisation, so a process that never
+    # solves (threshold, fibering, check) never loads it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n, h = grid.points[-1], grid.spacing[-1]
     # 1D has no leading axis: its one line system is the whole problem
     basis, shift = sine_modes(grid, 0) if grid.dim == 2 else (None, np.zeros(1))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,13 +351,13 @@ def test_sweep_jobs_write_the_same_bytes(config, tmp_path):
 def test_sweep_starts_no_more_workers_than_values(tmp_path, monkeypatch, jobs):
     # two values get two workers whatever --jobs asks for, and the bytes of --jobs 1
     cfg = str(readme_config(tmp_path / "c.json"))
-    real, pools = cli.ProcessPoolExecutor, []
+    real, pools = concurrent.futures.ProcessPoolExecutor, []
 
     def pool(workers):
         pools.append(workers)
         return real(workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     outs = [tmp_path / "j1", tmp_path / "jn"]
     for n, out in zip(("1", jobs), outs):
         assert main(
@@ -488,14 +490,14 @@ def test_solve_factors_shifted_laplacian_once_per_problem(tmp_path, monkeypatch,
         coefficients={"lam1": 1.0, "lam2": lam2, "mu1": 1.0, "mu2": 1.0, "beta": 0.5},
         branch_seeds=[0, 1],
     )
-    splu = solver.spla.splu
+    splu = scipy.sparse.linalg.splu
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(solver.spla, "splu", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(calls) == factors
 
@@ -632,6 +634,25 @@ def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
     assert "bound_state bound_state_norm_floor: FAIL" in capsys.readouterr().out
+
+
+def test_check_of_an_overflowing_state_fails_without_a_warning(tmp_path, capsys):
+    # v = 1e160 at one node overflows the quartic terms: the ground state fails
+    # its checks and check exits 5, even where every warning is an error
+    cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    path = Path(out) / "ground_state.csv"
+    lines = path.read_text().splitlines()
+    lines[8] = ",".join(lines[8].split(",")[:2] + ["0", "1e160"])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    fails = [line for line in captured.out.splitlines() if ": FAIL (" in line]
+    assert captured.err == ""
+    assert fails and all(line.startswith("ground_state ") for line in fails)
 
 
 def test_check_of_swapped_reports_fails_the_cross_checks(tmp_path, capsys):

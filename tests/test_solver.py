@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval as np_polyval
@@ -632,13 +633,13 @@ def test_1d_solve_equals_the_identity_basis_path(monkeypatch, rows):
     # in 1D the line system is the whole problem: the solve is the factor's
     # own, bit for bit what products with the 1x1 identity basis give
     grid = Grid(1, (1.0,), (799,))
-    splu, factors = solver.spla.splu, []
+    splu, factors = scipy.sparse.linalg.splu, []
 
     def capture(*args, **kwargs):
         factors.append(splu(*args, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(solver.spla, "splu", capture)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
     solve = solver._shift_solve(grid, 1.0)
     (lu,) = factors
     rng = np.random.default_rng(11)
@@ -803,13 +804,13 @@ def test_a_two_row_solve_equals_two_one_row_solves(dim, log_lam, seed):
 def test_shift_factor_has_no_fill(monkeypatch):
     # a tridiagonal factor per line: L and U hold at most two entries a row
     grid = Grid(2, (1.0, 2.0), (31, 17))
-    splu, factors = solver.spla.splu, []
+    splu, factors = scipy.sparse.linalg.splu, []
 
     def capture(*args, **kwargs):
         factors.append(splu(*args, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(solver.spla, "splu", capture)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
     solver._shift_solve(grid, 1.0)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 4 * grid.size
