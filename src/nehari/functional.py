@@ -114,14 +114,15 @@ class RayData(NamedTuple):
     @property
     def grad_norm(self) -> float:
         """Max-norm of the nodal gradient, exactly vol * max|residual| as rounding is monotone."""
-        return self.vol * max_norm(*self.residual)
+        return self.vol * float(np.abs(self.residual).max())  # max_norm's bits, in one pass
 
 
 def _signed_rows(params: Params, u, v, uu, vv):
-    """Yield the five signed residual rows of u, then those of v, one at a time.
+    """Yield the five residual rows of u, then those of v, one at a time.
 
-    The u rows are (-lap u, lam1*u, -mu1*u^3, -beta*u*v^2, -f) and the v rows
-    the same with the roles swapped; uu and vv are u*u and v*v.
+    The u rows are (-lap u, lam1*u, -mu1*u^3, -beta*u*v^2, f) and the v rows
+    the same with the roles swapped; uu and vv are u*u and v*v.  Each row
+    enters the residual with its sign but the source, which is subtracted.
     """
     grid, beta = params.grid, params.beta
     yield laplacian_matvec(grid, u)
@@ -130,12 +131,12 @@ def _signed_rows(params: Params, u, v, uu, vv):
     # the two coupling products round differently even where u == v; that
     # rounding-level asymmetry is what lets a descent leave a symmetric saddle
     yield -beta * u * vv
-    yield -params.f.values
+    yield params.f.values
     yield laplacian_matvec(grid, v)
     yield params.lam2 * v
     yield -params.mu2 * (vv * v)
     yield -beta * uu * v
-    yield -params.g.values
+    yield params.g.values
 
 
 def residual_terms(params: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -147,6 +148,7 @@ def residual_terms(params: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     terms = np.empty((2, 5, u.size))
     for t, row in zip(terms.reshape(10, -1), _signed_rows(params, u, v, u * u, v * v)):
         t[...] = row
+    np.negative(terms[:, 4], out=terms[:, 4])  # -f and -g
     return terms
 
 
@@ -156,6 +158,7 @@ def evaluate(params: Params, u: np.ndarray, v: np.ndarray) -> RayData:
     Each component's five signed rows are added in order into its residual,
     with the bits of the column sums of residual_terms, and each row is
     dropped once added; the first two add up to the energy row (-lap + lam) w.
+    The source is subtracted in place, as x - s == x + (-s) exactly.
     N pairs the energy rows with the state, A the squares with each other and
     B the sources with the state.
     """
@@ -166,7 +169,7 @@ def evaluate(params: Params, u: np.ndarray, v: np.ndarray) -> RayData:
         energy_rows.append(next(rows) + next(rows))
         np.add(energy_rows[-1], next(rows), out=res)
         res += next(rows)
-        res += next(rows)
+        res -= next(rows)
     (eu, ev), vol = energy_rows, params.grid.cell_volume
     mixed = params.mu1 * (uu @ uu) + params.mu2 * (vv @ vv) + 2.0 * params.beta * (uu @ vv)
     return RayData(

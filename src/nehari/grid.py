@@ -121,6 +121,12 @@ class Field:
     def scaled(self, t: float) -> "Field":
         return Field(self.grid, t * self.values)
 
+    @functools.cached_property
+    def _l43_norm(self) -> float:
+        # held: the field is frozen and its values read-only
+        s = float((np.abs(self.values) ** (4.0 / 3.0)).sum() * self.grid.cell_volume)
+        return s**0.75
+
 
 @dataclass(frozen=True, eq=False)
 class Pair:
@@ -145,10 +151,12 @@ def zero_field(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.size))
 
 
+@functools.lru_cache(maxsize=8)
 def first_eigenvector(grid: Grid) -> Field:
     """First Dirichlet eigenvector of the box, product of axis sines.
 
-    Sampled, not normalized; the nodal maximum is close to 1.
+    Sampled, not normalized; the nodal maximum is close to 1.  Built once
+    per grid: equal grids share one read-only field.
     """
     coords = grid.node_coords()
     vals = np.ones(grid.size)
@@ -184,9 +192,12 @@ def l4_norm4(w: Field) -> float:
 
 
 def l43_norm(w: Field) -> float:
-    """L^{4/3} norm: the quadrature of |w|^{4/3}, to the power 3/4."""
-    s = float((np.abs(w.values) ** (4.0 / 3.0)).sum() * w.grid.cell_volume)
-    return s**0.75
+    """L^{4/3} norm: the quadrature of |w|^{4/3}, to the power 3/4.
+
+    Computed on a field's first call and held by the field, which cannot
+    change; Field.scaled makes a new field with a norm of its own.
+    """
+    return w._l43_norm
 
 
 def weighted_norm_sq(grid: Grid, vals: np.ndarray, lam: float) -> float:

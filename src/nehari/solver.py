@@ -12,6 +12,8 @@ A raw nodal step has mesh-dependent conditioning (the stencil's stiffness
 grows like h^-2) and cannot reach tight gradient tolerances within a sane
 iteration budget; one exact sine-transform solve of the shifted Laplacian per
 step removes that mesh dependence, leaving the stationary points unchanged.
+In 2D the sine products are folded in half by the symmetry of each mode
+about the middle node, so they cost half the dense products.
 A state is converged when it passes _stop_checks: on the manifold, on its
 branch and with free nodal gradient below grad_tol, as a constrained critical
 point on either branch has a vanishing multiplier and so is a free one.
@@ -25,7 +27,9 @@ products of nodal rows, so an Armijo trial is float arithmetic with no
 array operation; the accepted point is evaluated directly, so rounding
 cannot accumulate.  Only the report and the verification stack the
 residual's terms (functional.residual_terms); the verification also
-evaluates the state, so it applies the stencil twice per component.
+evaluates the state, so it applies the stencil twice per component.  It
+reads the sources' held L^{4/3} norms, and pairs the terms with all the
+weak-form test pairs, drawn once per (seed, node count), in one product.
 """
 
 from __future__ import annotations
@@ -127,6 +131,13 @@ def _shift_solve(grid: Grid, lam: float):
     The DST-I basis of the leading axis (symmetric, its own inverse) leaves one
     tridiagonal line system per sine mode (Buzbee, Golub & Nielson 1970): no
     fill in natural order, and one-column panels, as it has no supernodes.
+    The sine products are folded in half (Cooley, Lewis & Welch 1970): a
+    mode of odd number is even about the middle node and one of even number
+    odd, so the forward transform applies two half-size blocks to the sums
+    and the differences of mirrored lines, and the inverse rebuilds both
+    halves from the two block products.  One path serves odd and even line
+    counts: an odd count's middle line is its own mirror, so it is copied
+    into the sums and back.
     The solve maps a nodal row (N,) or a C-ordered stack of rows (k, N) to
     the same shape; a stack reaches the factor as one F-ordered right-hand
     side, so each returned row is contiguous.
@@ -137,19 +148,42 @@ def _shift_solve(grid: Grid, lam: float):
     import scipy.sparse.linalg as spla
 
     n, h = grid.points[-1], grid.spacing[-1]
-    # 1D has no leading axis: its one line system is the whole problem
+    # 1D has no leading axis: its one line system is the whole problem; in 2D
+    # the lines take the sine modes of odd number first, as the fold yields them
     basis, shift = sine_modes(grid, 0) if grid.dim == 2 else (None, np.zeros(1))
-    main = np.repeat(shift + lam + 2.0 / h**2, n)
+    main = np.repeat(np.concatenate((shift[0::2], shift[1::2])) + lam + 2.0 / h**2, n)
     off = np.where(np.arange(1, main.size) % n, -1.0 / h**2, 0.0)  # lines do not couple
     lines = sp.diags([off, main, off], [-1, 0, 1], format="csc")
     lu = spla.splu(lines, permc_spec="NATURAL", panel_size=1)
     if basis is None:
         return lambda r: lu.solve(r.T).T
 
+    # modes of odd number, of even number: a line count's upper and lower half
+    n_odd, n_even = (len(basis) + 1) // 2, len(basis) // 2
+    # the inverse blocks, a column per mode; their transposes are the forward ones
+    inv_odd, inv_even = basis[:n_odd, 0::2].copy(), basis[:n_even, 1::2].copy()
+
     def solve(r: np.ndarray) -> np.ndarray:
-        lines = r.reshape(-1, len(basis), n)  # each row as (sine mode, line node)
-        modes = lu.solve((basis @ lines).reshape(len(lines), -1).T).T
-        return (basis @ modes.reshape(lines.shape)).reshape(r.shape)
+        lines = r.reshape(-1, *grid.points)  # each row as (leading node, line node)
+        mirror = lines[:, ::-1]
+        fold = np.empty_like(lines)  # sums of mirrored lines, then their differences
+        np.add(lines[:, :n_even], mirror[:, :n_even], out=fold[:, :n_even])
+        fold[:, n_even:n_odd] = lines[:, n_even:n_odd]  # an odd count's middle line
+        np.subtract(lines[:, :n_even], mirror[:, :n_even], out=fold[:, n_odd:])
+        spec = np.empty_like(lines)
+        np.matmul(inv_odd.T, fold[:, :n_odd], out=spec[:, :n_odd])
+        np.matmul(inv_even.T, fold[:, n_odd:], out=spec[:, n_odd:])
+        del fold  # so no more than two whole-grid arrays are live, as in a dense solve
+        modes = lu.solve(spec.reshape(len(lines), -1).T).T.reshape(lines.shape)
+        # the even part of each line's upper half, then its odd part
+        np.matmul(inv_odd, modes[:, :n_odd], out=spec[:, :n_odd])
+        np.matmul(inv_even, modes[:, n_odd:], out=spec[:, n_odd:])
+        del modes
+        x = np.empty_like(lines)
+        np.add(spec[:, :n_even], spec[:, n_odd:], out=x[:, :n_even])
+        np.subtract(spec[:, :n_even], spec[:, n_odd:], out=x[:, ::-1][:, :n_even])
+        x[:, n_even:n_odd] = spec[:, n_even:n_odd]
+        return x.reshape(r.shape)
 
     return solve
 
@@ -420,17 +454,20 @@ def weak_form_residual(terms, seed: int) -> float:
     For a test pair (tu, tv) the weak form is the sum of the ten pairings of
     the residual rows with the test functions; the stencil term is paired as
     (-lap u).tu, which equals u.(-lap tu) because the stencil is symmetric.
-    The cell volume cancels from the ratio.  The seed must be an integer: a
-    held draw of default_rng(None) would freeze its fresh entropy.
+    The cell volume cancels from the ratio.  All pairs are paired at once, by
+    one broadcast product per component that runs the same product per pair
+    as terms_u @ tu, so every pairing keeps its bits.  A pair whose pairings
+    all vanish is skipped; a NaN pairing makes the worst ratio NaN.  The seed
+    must be an integer: a held draw of default_rng(None) would freeze its
+    fresh entropy.
     """
-    terms_u, terms_v = terms
-    worst = 0.0
-    for tu, tv in _test_pairs(operator.index(seed), terms_u.shape[1]):
-        pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
-        tscale = np.abs(pairings).sum()
-        if tscale != 0:  # a NaN pairing makes tscale, and so the worst ratio, NaN
-            worst = np.maximum(worst, abs(pairings.sum()) / tscale)
-    return float(worst)
+    pairs = _test_pairs(operator.index(seed), terms[0].shape[1])
+    # (pairs, 10): the five pairings of u's rows with tu, then v's with tv
+    pairings = np.concatenate(
+        [np.matmul(t[None], pairs[:, c, :, None])[..., 0] for c, t in enumerate(terms)], axis=1)
+    tscale = np.abs(pairings).sum(axis=1)
+    kept = tscale != 0  # NaN != 0, so a NaN pair is kept
+    return float(np.max(np.abs(pairings[kept].sum(axis=1)) / tscale[kept], initial=0.0))
 
 
 def verify_solution(

@@ -222,6 +222,30 @@ def test_l4_and_l43_norms():
     assert l4_norm4(w.scaled(-2.0)) == pytest.approx(16.0 * l4_norm4(w), rel=1e-13)
 
 
+@pytest.mark.parametrize("grid", [Grid(1, (2.0,), (799,)), Grid(2, (1.0, 0.3), (31, 17))])
+def test_held_l43_norm_is_the_fresh_quadrature(grid):
+    def fresh(w):
+        return float((np.abs(w.values) ** (4.0 / 3.0)).sum() * grid.cell_volume) ** 0.75
+
+    w = Field(grid, np.random.default_rng(3).standard_normal(grid.size))
+    held = l43_norm(w)
+    assert held == fresh(w) and l43_norm(w) is held  # computed once, then held
+    # a scaled field is a new field with a norm of its own
+    for t in (-2.0, 0.5, 0.0):
+        s = w.scaled(t)
+        assert l43_norm(s) == fresh(s) and l43_norm(w) is held
+
+
+def test_first_eigenvector_is_one_read_only_field_per_grid():
+    e = first_eigenvector(Grid(2, (1.0, 2.0), (9, 5)))
+    assert first_eigenvector(Grid(2, (1, 2), (9, 5))) is e
+    assert not e.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        e.values[0] = 0.0
+    other = first_eigenvector(Grid(2, (1.0, 2.0), (9, 7)))
+    assert other is not e and other.values.size == 63
+
+
 def test_pair_norm_zero_iff_zero(grid_1d, zero_params):
     p = Pair(zero_field(grid_1d), zero_field(grid_1d))
     assert ray(p, zero_params).norm_sq == 0.0

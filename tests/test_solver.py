@@ -1,8 +1,10 @@
 import gc
 import math
+import operator
 import re
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from nehari.grid import (
     first_eigenvector,
     l43_norm,
     laplacian_matvec,
+    sine_modes,
     zero_field,
 )
 from nehari.solver import (
@@ -728,6 +731,53 @@ def test_weak_form_test_pairs_are_read_only():
         pairs[0, 0, 0] = 1.0
 
 
+def _weak_form_per_pair(terms, seed):
+    """weak_form_residual as one loop step per held test pair: the oracle of its bits."""
+    terms_u, terms_v = terms
+    worst = 0.0
+    for tu, tv in solver._test_pairs(operator.index(seed), terms_u.shape[1]):
+        pairings = np.concatenate((terms_u @ tu, terms_v @ tv))
+        tscale = np.abs(pairings).sum()
+        if tscale != 0:  # a NaN pairing makes tscale, and so the worst ratio, NaN
+            worst = np.maximum(worst, abs(pairings.sum()) / tscale)
+    return float(worst)
+
+
+def _same(got, want) -> bool:
+    # ratios are never -0.0, so == is bit equality for every finite result
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 49), (2, 15), (1, 799), (2, 127)])
+def test_weak_form_residual_equals_the_per_pair_loop(dim, n, rng):
+    terms = _random_terms(dim, n, rng)
+    for seed in range(3):
+        got = weak_form_residual(terms, seed)
+        assert got == _weak_form_per_pair(terms, seed) and got > 1e-3
+    for component in (0, 1):
+        bad = terms.copy()
+        bad[component, 2, bad.shape[-1] // 3] = math.nan
+        got = weak_form_residual(bad, 0)
+        assert math.isnan(got) and _same(got, _weak_form_per_pair(bad, 0))
+
+
+def test_weak_form_residual_skips_a_test_pair_whose_pairings_all_vanish(monkeypatch, rng):
+    terms = _random_terms(2, 15, rng)
+    pairs = np.random.default_rng(0).standard_normal((20, 2, terms.shape[-1]))
+    pairs[5] = 0.0  # its ten pairings are zero: the ratio 0/0 is skipped
+    monkeypatch.setattr(solver, "_test_pairs", lambda seed, size: pairs)
+    got = weak_form_residual(terms, 0)
+    assert got == _weak_form_per_pair(terms, 0) and 0.0 < got < math.inf
+    # a NaN term pairs to NaN even with the zero pair, so it is not skipped
+    for component in (0, 1):
+        bad = terms.copy()
+        bad[component, 0, 7] = math.nan
+        assert math.isnan(weak_form_residual(bad, 0))
+        assert _same(weak_form_residual(bad, 0), _weak_form_per_pair(bad, 0))
+    pairs[:] = 0.0  # every pair skipped: the worst over none is 0
+    assert weak_form_residual(terms, 0) == 0.0 == _weak_form_per_pair(terms, 0)
+
+
 def test_verify_solution_needs_an_integer_seed(solved):
     # default_rng(None) draws fresh entropy, which the held test pairs would freeze
     _grid, params, s4, plus, _minus = solved
@@ -814,3 +864,46 @@ def test_shift_factor_has_no_fill(monkeypatch):
     solver._shift_solve(grid, 1.0)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 4 * grid.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.tuples(st.integers(3, 70), st.integers(3, 20)),
+    extents=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+    log_lam=st.floats(-3.0, 3.0),
+    rows=st.sampled_from((None, 1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_sine_solve_matches_the_dense_products(points, extents, log_lam, rows, seed):
+    # odd and even leading-axis counts on non-square boxes: the folded solve
+    # agrees with dense DST-I products around the same factor, whose lines
+    # take the modes of odd number first, and inverts the shifted stencil
+    grid, lam = Grid(2, extents, points), 10.0**log_lam
+    splu, factors = scipy.sparse.linalg.splu, []
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    with mock.patch.object(scipy.sparse.linalg, "splu", capture):
+        solve = solver._shift_solve(grid, lam)
+    (lu,) = factors
+    r = np.random.default_rng(seed).standard_normal(
+        grid.size if rows is None else (rows, grid.size))
+    got = solve(r)
+    assert got.shape == r.shape and got.flags.c_contiguous
+
+    basis, _shift = sine_modes(grid, 0)
+    order = np.r_[0 : points[0] : 2, 1 : points[0] : 2]  # the factor's line order
+    lines = r.reshape(-1, *points)
+    spec = (basis @ lines)[:, order]
+    modes = np.empty_like(spec)
+    modes[:, order] = lu.solve(spec.reshape(len(lines), -1).T).T.reshape(spec.shape)
+    want = (basis @ modes).reshape(r.shape)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    # normwise backward error of the stencil, against its infinity norm
+    op_norm = sum(4.0 / h**2 for h in grid.spacing) + lam
+    for x, row in zip(got.reshape(-1, grid.size), r.reshape(-1, grid.size)):
+        resid = np.abs(laplacian_matvec(grid, x) + lam * x - row).max()
+        assert resid <= 1e-14 * op_norm * np.abs(x).max()
