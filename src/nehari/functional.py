@@ -102,11 +102,6 @@ class RayData(NamedTuple):
         return 2.0 * self.norm_sq - 4.0 * self.quartic - self.source
 
     @property
-    def origin_gap(self) -> float | None:
-        """tau = N / sqrt(3A), the norm below which no N- state lies; None unless A > 0."""
-        return self.norm_sq / math.sqrt(3.0 * self.quartic) if self.quartic > 0 else None
-
-    @property
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodal gradient: the residual times the quadrature weight."""
         return self.vol * self.residual[0], self.vol * self.residual[1]

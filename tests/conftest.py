@@ -6,6 +6,7 @@ sign-change scan plus bisection, and expected integrals come from closed
 forms or brute-force summation.
 """
 
+import functools
 import math
 import sys
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from nehari import grid as grid_module
+from nehari.cli import resolve_problem
 from nehari.functional import Params, RayData, evaluate
 from nehari.grid import Field, Grid, Pair, first_eigenvector, l43_norm, zero_field
 from nehari.threshold import compute_threshold, estimate_s4
@@ -125,6 +127,26 @@ def build_problem(
     f = e.scaled(eps)
     params = Params(lam, lam, mu, mu, beta, f, f)
     return grid, params, s4, compute_threshold(params, grid, s4)
+
+
+# the benchmark's couplings: -0.5 to 1 in steps of 1/8
+LATTICE_BETAS = tuple(-0.5 + 0.125 * i for i in range(13))
+
+
+@functools.lru_cache(maxsize=None)
+def build_readme_problem(dim, points, beta=0.5, lam=(1.0, 1.0), mu=(1.0, 1.0), swap=False):
+    """The README config on a dim-dimensional grid of points per axis, or its exchange,
+    resolved as the CLI resolves it (a cli.Problem, held per argument tuple)."""
+    sources = [{"kind": "eigen", "amplitude": 1.0},
+               {"kind": "gaussian", "center": [0.5] * dim, "width": 0.1, "amplitude": 1.0}]
+    order = slice(None, None, -1 if swap else 1)
+    (lam1, lam2), (mu1, mu2), (f, g) = lam[order], mu[order], sources[order]
+    cfg = {
+        "grid": {"dim": dim, "extents": [1.0] * dim, "points": [points] * dim},
+        "coefficients": {"lam1": lam1, "lam2": lam2, "mu1": mu1, "mu2": mu2, "beta": beta},
+        "sources": {"f": f, "g": g, "autoscale": {"rho": 0.5}},
+    }
+    return resolve_problem(cfg)
 
 
 def ray(p: Pair, params: Params) -> RayData:

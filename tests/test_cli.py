@@ -623,8 +623,9 @@ def test_reports_carry_the_descent_iterations(tmp_path):
         assert load_json(os.path.join(out, f"{stem}.json"))["iterations"] > 0, stem
 
 
-def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
-    # A = 0 leaves tau = N/sqrt(3A) undefined: the check fails, it does not raise
+def test_check_of_a_zeroed_bound_state_fails_its_branch_sign(tmp_path, capsys):
+    # N = A = B = 0: the N- indicator is 0, not negative, and the norms vanish;
+    # the checks fail, they do not raise
     cfg, out = str(readme_config(tmp_path / "c.json")), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     path = os.path.join(out, "bound_state.csv")
@@ -633,7 +634,9 @@ def test_check_of_a_zeroed_bound_state_fails_its_norm_floor(tmp_path, capsys):
     Path(path).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--out", out]) == EXIT_VERIFY
-    assert "bound_state bound_state_norm_floor: FAIL" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    for name in ("state_nontrivial", "branch_sign"):
+        assert f"bound_state {name}: FAIL" in printed, name
 
 
 def test_check_of_an_overflowing_state_fails_without_a_warning(tmp_path, capsys):
@@ -856,11 +859,13 @@ def test_check_takes_its_tolerances_from_the_config(tmp_path, capsys):
         assert main(["check", "--config", cfg, "--out", out]) == EXIT_OK, key
         assert capsys.readouterr().out == before, key
     # reports of older formats, whose config still carries nehari_tol or which
-    # still carry noise_injected; write_json refuses them, so each is written
-    # as plain JSON
+    # still carry noise_injected or a norm bound; write_json refuses them, so
+    # each is written as plain JSON
     doc = load_json(path)
     for key, old in (("nehari_tol", {"config": {**doc["config"], "nehari_tol": 1e-10}}),
-                     ("noise_injected", {"noise_injected": False})):
+                     ("noise_injected", {"noise_injected": False}),
+                     ("norm_min", {"norm_min": 0.5}), ("norm_max", {"norm_max": 2.0}),
+                     ("tau_bound", {"tau_bound": None})):
         Path(path).write_text(json.dumps({**doc, **old}), encoding="utf-8")
         assert main(["check", "--config", cfg, "--out", out]) == EXIT_CONFIG, key
         assert key in capsys.readouterr().err, key
@@ -875,15 +880,16 @@ def test_load_schema_returns_a_fresh_dict_of_text_read_once():
     assert reports._schema_text("checks") is reports._schema_text("checks")
 
 
-def test_huge_mu1_reports_a_failed_norm_floor(tmp_path, capsys):
+def test_huge_mu1_reports_a_failed_branch_sign(tmp_path, capsys):
     # the states are so small that mu1*u^3 underflows and A comes out 0;
-    # neither branch meets its constraint tolerance, so this is a solver failure
+    # neither branch meets its constraint tolerance, so this is a solver failure,
+    # and with A = 0 the N- indicator 2N - B cannot be negative
     cfg, out = str(readme_config(tmp_path / "c.json", mu1=1e300)), str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_SOLVER
     assert "did not converge" in capsys.readouterr().err
-    floor = [c for c in load_json(os.path.join(out, "checks.json"))["bound_state"]
-             if c["name"] == "bound_state_norm_floor"]
-    assert floor and not floor[0]["passed"]
+    sign = [c for c in load_json(os.path.join(out, "checks.json"))["bound_state"]
+            if c["name"] == "branch_sign"]
+    assert sign and not sign[0]["passed"]
 
 
 @pytest.mark.parametrize("command", ["threshold", "solve", "check"])
@@ -940,9 +946,7 @@ def solve_reports(draw):
         theta=draw(_FINITE), grad_norm=draw(_FINITE), nehari_residual=draw(_FINITE),
         classification_value=draw(_FINITE), pde_residual=draw(_FINITE),
         pde_scale=draw(_FINITE), positive=(draw(st.booleans()), draw(st.booleans())),
-        iterations=draw(st.integers(0, 10**9)), converged=draw(st.booleans()),
-        norm_min=draw(_FINITE), norm_max=draw(_FINITE),
-        tau_bound=draw(st.none() | _FINITE), config=config,
+        iterations=draw(st.integers(0, 10**9)), converged=draw(st.booleans()), config=config,
     )
 
 
@@ -1262,6 +1266,17 @@ def solved_readme(tmp_path_factory):
     cfg, out = str(readme_config(tmp / "c.json")), tmp / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     return cfg, out
+
+
+def test_checks_json_lists_every_check_in_order(solved_readme):
+    # no check may appear or vanish unnoticed
+    branch = ["state_nontrivial", "on_manifold", "branch_sign", "gradient_norm",
+              "theta_matches_energy", "coercivity", "pde_residual", "weak_form",
+              "positivity_flags"]
+    doc = load_json(solved_readme[1] / "checks.json")
+    names = {part: [c["name"] for c in cs] for part, cs in doc.items() if part != "all_passed"}
+    assert names == {"ground_state": branch, "bound_state": branch,
+                     "cross": ["theta_plus_negative", "theta_order"]}
 
 
 def _broken_reports(text):
