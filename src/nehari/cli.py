@@ -132,9 +132,9 @@ def resolve_problem(
 ) -> Problem:
     """Build the fully resolved problem a subcommand runs against.
 
-    ``s4`` is estimated from the config unless given; it depends on the grid,
-    min(lam1, lam2) and the seed only, so a caller that resolves several
-    problems on one grid, lam and seed estimates it once.
+    ``s4`` is estimated from the config unless given; it depends on the grid
+    and min(lam1, lam2) only, so a caller that resolves several problems on
+    one grid and lam estimates it once.
     """
     grid = _config_grid(cfg)
     f = _build_source(grid, cfg["sources"]["f"], "sources.f")
@@ -185,7 +185,7 @@ def resolve_problem(
 
     # every config rule is checked above, so a config error never pays for this
     if s4 is None:
-        s4 = estimate_s4(grid, min(params.lam1, params.lam2), seed=seed)
+        s4 = estimate_s4(grid, min(params.lam1, params.lam2))
     if rho is not None:
         scale = rho * compute_threshold(params, grid, s4).lambda_threshold / current
         params = replace(params, f=f.scaled(scale), g=g.scaled(scale))

@@ -12,10 +12,10 @@ alpha is taken at its maximal admissible value so Lambda is the least
 conservative choice this bound chain allows.  s4 is estimated with respect
 to the lam-weighted single-component norm at lam = min(lam1, lam2): the
 smaller weight gives the larger constant, so one estimate covers both
-components conservatively.  The estimate is a projected gradient ascent from
-the first eigenvector of -lap, guarded by seeded smooth probes; its trial
-steps are evaluated from polynomials in the step length, so only an accepted
-step applies the stencil.
+components conservatively.  The estimate is one projected gradient ascent
+from the first eigenvector of -lap, so it depends on the grid and lam only;
+its trial steps are evaluated from polynomials in the step length, so only
+an accepted step applies the stencil.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = ["ThresholdReport", "estimate_s4", "compute_threshold"]
 
 
 _MAX_ASCENT_ITERS = 4000  # the iteration cap of one ascent
-_PROBE_MODES = 4
-_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -112,53 +110,21 @@ def _ascend(grid: Grid, lam: float, start: np.ndarray) -> tuple[float, bool]:
     return _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam)), hit_cap
 
 
-def _smooth_probes(grid: Grid, rng: np.random.Generator):
-    """Random combinations of the first few sine modes per axis.
-
-    Each probe is sum_jk c_jk sin(j pi x/L1)/j * sin(k pi y/L2)/k (one factor
-    in 1D) with standard normal c, built from one sine table per axis.  The
-    1/j weights keep the probes smooth, so their ratios come within reach
-    of s4 (up to about 0.30 in 1D and 0.23 in 2D on the unit box at lam = 1,
-    against s4 = 0.34 and 0.28), which white noise never does.
-    """
-    modes = np.arange(1, _PROBE_MODES + 1)
-    tables = [
-        np.sin(np.outer(modes, grid.axis_coords(k)) * (math.pi / grid.extents[k]))
-        / modes[:, None]
-        for k in range(grid.dim)
-    ]
-    for _ in range(_PROBES):
-        coeffs = rng.standard_normal((_PROBE_MODES,) * grid.dim)
-        if grid.dim == 1:
-            yield coeffs @ tables[0]
-        else:
-            yield (tables[0].T @ coeffs @ tables[1]).ravel()
-
-
 def estimate_s4(grid: Grid, lam: float, seed: int = 0) -> float:
     """Estimate of the best constant in |w|_4 <= s4 * |w|_{H,lam}.
 
-    The ascent runs from the first eigenvector of -lap.  A guard then draws
-    16 smooth probes from the seed, random combinations of the first 4 sine
-    modes per axis: a probe whose ratio beats the ascent would mean the
-    optimization missed badly, so the ascent is re-run from that probe.  The
-    seed draws only the probes, so the result is deterministic given it.
-    White-noise starts are not tried: their ascents end far below the
-    eigenvector's (at most 0.65 of it on every grid and lam tested).
+    One ascent from the first eigenvector of -lap, so the result depends on
+    the grid and lam only.  ``seed`` is accepted and not read, on purpose:
+    perfbench's worker passes it.  No other start is tried: white-noise
+    starts end far below the eigenvector's (at most 0.65 of it on every grid
+    and lam tested).
 
-    A warning is emitted if an ascent hit the iteration cap; the best value
+    A warning is emitted if the ascent hit the iteration cap; the best value
     found is still returned.
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    best, capped = _ascend(grid, lam, first_eigenvector(grid).values)
-    vol = grid.cell_volume
-    for w in _smooth_probes(grid, np.random.default_rng(seed)):
-        ratio = _l4(w, vol) / math.sqrt(weighted_norm_sq(grid, w, lam))
-        if ratio > best:
-            val, hit_cap = _ascend(grid, lam, w)
-            capped = capped or hit_cap
-            best = max(best, val, ratio)
+    s4, capped = _ascend(grid, lam, first_eigenvector(grid).values)
     if capped:
         warnings.warn(
             "Sobolev-constant ascent hit its iteration cap; "
@@ -166,7 +132,7 @@ def estimate_s4(grid: Grid, lam: float, seed: int = 0) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return best
+    return s4
 
 
 def compute_threshold(params: Params, grid: Grid, s4: float) -> ThresholdReport:

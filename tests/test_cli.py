@@ -183,6 +183,27 @@ def test_autoscale_satisfies_threshold(config, tmp_path):
     )
 
 
+def test_the_threshold_report_does_not_depend_on_the_seed(tmp_path, capsys):
+    # on this long box a smooth probe of seed 17 used to beat the eigenvector
+    # ascent, and lambda_threshold read 0.000540 against 0.000548 at seed 0
+    cfg = str(write_config(
+        tmp_path / "long_box.json",
+        grid={"dim": 1, "extents": [100.0], "points": [99]},
+        coefficients={"lam1": 1e-3, "lam2": 1e-3, "mu1": 1.0, "mu2": 1.0, "beta": 0.5},
+        sources={
+            "f": {"kind": "eigen", "amplitude": 1.0},
+            "g": {"kind": "gaussian", "center": [50.0], "width": 10.0, "amplitude": 1.0},
+            "autoscale": {"rho": 0.5},
+        },
+    ))
+    reports = []
+    for seed in ("0", "17"):
+        assert main(["threshold", "--config", cfg, "--seed", seed]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["lambda_threshold"] == pytest.approx(0.000548, abs=5e-7)
+
+
 def test_parse_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")
